@@ -1,16 +1,22 @@
 """Graded biderivations of A (+) P and the bracket-based structure checkers.
 
-The Schouten bracket is evaluated by the inductive rules
+The Schouten bracket of multiderivations is defined by the inductive rules
 
     [[D, a]]      = D(a)
     [[a, D]]      = (-1)^(|a|*h + w) D(a)
     [[D, E]](a)   = [[D, E(a)]] - (-1)^(|a|*h_E + w_E) [[D(a), E]]
 
 where w is the multiderivation weight, h the internal degree, and
-evaluation always plugs into the first slot.  The recursion is realized
-on lazy nodes; weight-1 intermediate values are genuine derivations of
-the algebra, so for suite evaluation they are materialized into concrete
-Der0/Der1 objects from their values on generators.
+evaluation always plugs into the first slot.  For a degree-0
+biderivation Pi the rules unfold to the closed form
+
+    [[Pi, Pi]](z1, z2, z3) = 2 Jac_Pi(z1, z2, z3)
+
+with Jac_Pi the graded Jacobiator of `jacobiator0`; the value vanishes
+for degree reasons once two arguments lie in P.  The code evaluates the
+closed form.  Since [[Pi, Pi]](z1, z2, -) is a derivation of the algebra,
+the probe suite builds it once per pair (z1, z2) from its values on the
+generators x_i and e_alpha and applies it to every third argument.
 
 Checker outputs pair a verdict with a deterministic list of named
 nonzero residuals, and every PDE verdict is cross-checked against an
@@ -23,15 +29,32 @@ import itertools
 
 from .poly import Poly, PolyMat, PolyVec, monomials_up_to
 from .ops import MatrixOp, ScalarOp, VectorField
-from .derivations import (Der0, Der1, DerNeg1, DiolicElement,
-                          graded_commutator_der)
+from .derivations import Der0, Der1, DiolicElement, graded_commutator_der
 
 
 # ---------------------------------------------------------------------------
 # structures
 
 
-class BiDer0:
+class _Bracket0:
+    """Dispatch of a degree-0 bracket given by its eval_aa and eval_ap."""
+
+    __slots__ = ()
+
+    def eval(self, z1, z2):
+        """Dispatch on homogeneous arguments (Poly or PolyVec)."""
+        if isinstance(z1, Poly) and isinstance(z2, Poly):
+            return self.eval_aa(z1, z2)
+        if isinstance(z1, Poly) and isinstance(z2, PolyVec):
+            return self.eval_ap(z1, z2)
+        if isinstance(z1, PolyVec) and isinstance(z2, Poly):
+            return -self.eval_ap(z2, z1)
+        if isinstance(z1, PolyVec) and isinstance(z2, PolyVec):
+            return Poly.zero(self.n)
+        raise TypeError("arguments must be Poly or PolyVec")
+
+
+class BiDer0(_Bracket0):
     """Degree-0 biderivation: bivector Pi^{ij} plus matrix parts Pi^i.
 
     Pi(a, b)   = sum_{ij} Pi^{ij} d_i(a) d_j(b)
@@ -107,18 +130,6 @@ class BiDer0:
 
     def eval_ap(self, a, p):
         return self.hamiltonian(a).apply_p(p)
-
-    def eval(self, z1, z2):
-        """Dispatch on homogeneous arguments (Poly or PolyVec)."""
-        if isinstance(z1, Poly) and isinstance(z2, Poly):
-            return self.eval_aa(z1, z2)
-        if isinstance(z1, Poly) and isinstance(z2, PolyVec):
-            return self.eval_ap(z1, z2)
-        if isinstance(z1, PolyVec) and isinstance(z2, Poly):
-            return -self.eval_ap(z2, z1)
-        if isinstance(z1, PolyVec) and isinstance(z2, PolyVec):
-            return Poly.zero(self.n)
-        raise TypeError("arguments must be Poly or PolyVec")
 
 
 class BiDer1:
@@ -260,230 +271,86 @@ def bider_neg2_eval(b, p, q):
 
 
 def bider0_eval(pi, a, z):
-    """Pi(a, z) for z a Poly or PolyVec."""
-    if isinstance(z, Poly):
-        return pi.eval_aa(a, z)
-    if isinstance(z, PolyVec):
-        return pi.eval_ap(a, z)
-    raise TypeError("second argument must be Poly or PolyVec")
+    """Pi(a, z) for a in A and z a Poly or PolyVec."""
+    return pi.eval(a, z)
 
 
 # ---------------------------------------------------------------------------
-# the Schouten bracket recursion
+# the Jacobiator and the Schouten square
 
 
-class _Elem:
-    """Weight-0 node: a homogeneous element, or zero in a trivial degree."""
-
-    __slots__ = ("gdeg", "n", "m", "value")
-    weight = 0
-
-    def __init__(self, gdeg, n, m, value):
-        self.gdeg = gdeg
-        self.n = n
-        self.m = m
-        self.value = value  # Poly (gdeg 0), PolyVec (gdeg 1) or None
-
-    def is_zero(self):
-        return self.value is None or self.value.is_zero()
-
-    def scaled(self, c):
-        if self.value is None:
-            return self
-        return _Elem(self.gdeg, self.n, self.m, c * self.value)
-
-    def plus(self, other):
-        if self.value is None:
-            return other
-        if other.value is None:
-            return self
-        if self.gdeg != other.gdeg:
-            raise ValueError("cannot add elements of different degrees")
-        return _Elem(self.gdeg, self.n, self.m, self.value + other.value)
+def _gdeg_of(z):
+    return 1 if isinstance(z, PolyVec) else 0
 
 
-class _Node:
-    """Lazy multiderivation node of weight >= 1."""
+def jacobiator0(b, z1, z2, z3):
+    """Jac(z1, z2, z3) = B(B(z1,z2),z3) - B(z1,B(z2,z3)) + (-1)^(g1 g2) B(z2,B(z1,z3)).
 
-    __slots__ = ("weight", "gdeg", "n", "m", "fn")
-
-    def __init__(self, weight, gdeg, n, m, fn):
-        self.weight = weight
-        self.gdeg = gdeg
-        self.n = n
-        self.m = m
-        self.fn = fn
-
-    def apply(self, elem):
-        return self.fn(elem)
+    For all-even arguments this is the cyclic Jacobiator; the sign on the
+    third term is the one compatible with graded skewness of the bracket.
+    """
+    g1, g2 = _gdeg_of(z1), _gdeg_of(z2)
+    out = b.eval(b.eval(z1, z2), z3)
+    out = out - b.eval(z1, b.eval(z2, z3))
+    term = b.eval(z2, b.eval(z1, z3))
+    return out + term if (-1) ** (g1 * g2) > 0 else out - term
 
 
-def _zero_elem(gdeg, n, m):
-    if gdeg == 0:
-        return _Elem(0, n, m, Poly.zero(n))
-    if gdeg == 1:
-        return _Elem(1, n, m, PolyVec.zero(n, m))
-    return _Elem(gdeg, n, m, None)
-
-
-def _zero_node(weight, gdeg, n, m):
-    if weight == 0:
-        return _zero_elem(gdeg, n, m)
-    return _Node(weight, gdeg, n, m,
-                 lambda e: _zero_node(weight - 1, gdeg + e.gdeg, n, m))
-
-
-def _scale(c, x):
-    if isinstance(x, _Elem):
-        return x.scaled(c)
-    return _Node(x.weight, x.gdeg, x.n, x.m, lambda e: _scale(c, x.apply(e)))
-
-
-def _add(x, y):
-    if isinstance(x, _Elem):
-        return x.plus(y)
-    if x.weight != y.weight:
-        raise ValueError("weight mismatch")
-    return _Node(x.weight, x.gdeg, x.n, x.m, lambda e: _add(x.apply(e), y.apply(e)))
-
-
-def _der0_node(d):
-    def fn(e):
-        if e.is_zero():
-            return _zero_elem(e.gdeg, d.n, d.m)
-        if e.gdeg == 0:
-            return _Elem(0, d.n, d.m, d.apply_a(e.value))
-        if e.gdeg == 1:
-            return _Elem(1, d.n, d.m, d.apply_p(e.value))
-        return _zero_elem(e.gdeg, d.n, d.m)
-    return _Node(1, 0, d.n, d.m, fn)
-
-
-def _der1_node(d):
-    def fn(e):
-        if not e.is_zero() and e.gdeg == 0:
-            return _Elem(1, d.n, d.m, d(e.value))
-        return _zero_elem(e.gdeg + 1, d.n, d.m)
-    return _Node(1, 1, d.n, d.m, fn)
-
-
-def _derneg1_node(d, m):
-    def fn(e):
-        if not e.is_zero() and e.gdeg == 1:
-            return _Elem(0, d.n, m, d(e.value))
-        return _zero_elem(e.gdeg - 1, d.n, m)
-    return _Node(1, -1, d.n, m, fn)
-
-
-def _bider0_node(pi):
-    def fn(e):
-        if e.is_zero():
-            return _zero_node(1, e.gdeg, pi.n, pi.m)
-        if e.gdeg == 0:
-            return _der0_node(pi.hamiltonian(e.value))
-        if e.gdeg == 1:
-            p = e.value
-
-            def kfn(e2):
-                if not e2.is_zero() and e2.gdeg == 0:
-                    return _Elem(1, pi.n, pi.m, -pi.eval_ap(e2.value, p))
-                return _zero_elem(e2.gdeg + 1, pi.n, pi.m)
-            return _Node(1, 1, pi.n, pi.m, kfn)
-        return _zero_node(1, e.gdeg, pi.n, pi.m)
-    return _Node(2, 0, pi.n, pi.m, fn)
-
-
-def _bracket(u, v):
-    """The inductive Schouten bracket on nodes."""
-    if isinstance(u, _Elem) and isinstance(v, _Elem):
-        return _zero_elem(u.gdeg + v.gdeg, u.n, u.m)
-    if isinstance(v, _Elem):
-        return u.apply(v)
-    if isinstance(u, _Elem):
-        sgn = (-1) ** (u.gdeg * v.gdeg + v.weight)
-        return _scale(sgn, v.apply(u))
-    weight = u.weight + v.weight - 1
-    gdeg = u.gdeg + v.gdeg
-
-    def fn(e):
-        left = _bracket(u, v.apply(e))
-        sgn = -((-1) ** (e.gdeg * v.gdeg + v.weight))
-        right = _bracket(u.apply(e), v)
-        return _add(left, _scale(sgn, right))
-    return _Node(weight, gdeg, u.n, u.m, fn)
-
-
-def _as_elem(z, n, m):
-    if isinstance(z, Poly):
-        return _Elem(0, n, m, z)
-    if isinstance(z, PolyVec):
-        return _Elem(1, n, m, z)
+def _homogeneous(z):
+    if isinstance(z, (Poly, PolyVec)):
+        return z
     if isinstance(z, DiolicElement):
         if z.p.is_zero():
-            return _Elem(0, n, m, z.a)
+            return z.a
         if z.a.is_zero():
-            return _Elem(1, n, m, z.p)
+            return z.p
         raise ValueError("arguments must be homogeneous")
     raise TypeError("arguments must be Poly, PolyVec or homogeneous DiolicElement")
 
 
-def _elem_to_diolic(e):
-    if e.value is None:
-        return DiolicElement.zero(e.n, e.m)
-    if e.gdeg == 0:
-        return DiolicElement.from_a(e.value, e.m)
-    return DiolicElement.from_p(e.value)
-
-
-def _materialize1(node):
-    """Evaluate a weight-1 node on generators and wrap it concretely."""
-    n, m = node.n, node.m
-    if node.gdeg == 0:
-        xs = [node.apply(_Elem(0, n, m, Poly.var(n, i + 1))).value for i in range(n)]
-        cols = [node.apply(_Elem(1, n, m, PolyVec.basis(n, m, j))).value for j in range(m)]
-        g = PolyMat(n, [[cols[j].comps[i] for j in range(m)] for i in range(m)])
-        return _der0_node(Der0(VectorField(n, xs), g))
-    if node.gdeg == 1:
-        vals = [node.apply(_Elem(0, n, m, Poly.var(n, i + 1))).value for i in range(n)]
-        zs = [VectorField(n, [vals[i].comps[alpha] for i in range(n)])
-              for alpha in range(m)]
-        return _der1_node(Der1(zs))
-    return node
+def _as_diolic(v, m):
+    return DiolicElement.from_a(v, m) if isinstance(v, Poly) else DiolicElement.from_p(v)
 
 
 def schouten_self_eval(pi, z1, z2, z3):
-    """[[Pi, Pi]] evaluated on three homogeneous arguments."""
-    node = _bracket(_bider0_node(pi), _bider0_node(pi))
-    e = node.apply(_as_elem(z1, pi.n, pi.m))
-    e = e.apply(_as_elem(z2, pi.n, pi.m))
-    e = e.apply(_as_elem(z3, pi.n, pi.m))
-    return _elem_to_diolic(e)
+    """[[Pi, Pi]] evaluated on three homogeneous arguments, as 2 Jac_Pi."""
+    zs = [_homogeneous(z) for z in (z1, z2, z3)]
+    return _as_diolic(2 * jacobiator0(pi, *zs), pi.m)
+
+
+def _last_slot_derivation(pi, z1, z2):
+    """[[Pi, Pi]](z1, z2, -) built from 2 Jac_Pi on the generators: a Der0
+    when z1 and z2 lie in A, a Der1 when one of them lies in P."""
+    n, m = pi.n, pi.m
+    xs = [2 * jacobiator0(pi, z1, z2, Poly.var(n, i + 1)) for i in range(n)]
+    if isinstance(z1, Poly) and isinstance(z2, Poly):
+        cols = [2 * jacobiator0(pi, z1, z2, PolyVec.basis(n, m, j)) for j in range(m)]
+        g = PolyMat(n, [[cols[j].comps[i] for j in range(m)] for i in range(m)])
+        return Der0(VectorField(n, xs), g)
+    return Der1([VectorField(n, [v.comps[alpha] for v in xs]) for alpha in range(m)])
 
 
 def schouten_probe_suite(pi, degree=2):
-    """Nonzero values of [[Pi, Pi]] on all monomial triples of degree
+    """Nonzero values of [[Pi,Pi]] on all monomial triples of degree
     <= degree with at most one slot in P; returns [(label, DiolicElement)].
     """
     n, m = pi.n, pi.m
-    a_elems = [(str(Poly.monomial(n, s)), _Elem(0, n, m, Poly.monomial(n, s)))
-               for s in monomials_up_to(n, degree)]
-    p_elems = [("%s*e%d" % (Poly.monomial(n, s), j + 1),
-                _Elem(1, n, m, Poly.monomial(n, s) * PolyVec.basis(n, m, j)))
-               for s in monomials_up_to(n, degree) for j in range(m)]
-    square = _bracket(_bider0_node(pi), _bider0_node(pi))
+    monos = [Poly.monomial(n, s) for s in monomials_up_to(n, degree)]
+    a_elems = [(str(a), a) for a in monos]
+    p_elems = [("%s*e%d" % (a, j + 1), a * PolyVec.basis(n, m, j))
+               for a in monos for j in range(m)]
     bad = []
     patterns = [(a_elems, a_elems, a_elems), (p_elems, a_elems, a_elems),
                 (a_elems, p_elems, a_elems), (a_elems, a_elems, p_elems)]
     for s1, s2, s3 in patterns:
-        for l1, e1 in s1:
-            part1 = square.apply(e1)
-            for l2, e2 in s2:
-                part2 = _materialize1(part1.apply(e2))
-                for l3, e3 in s3:
-                    val = part2.apply(e3)
+        for l1, z1 in s1:
+            for l2, z2 in s2:
+                der = _last_slot_derivation(pi, z1, z2)
+                for l3, z3 in s3:
+                    val = der(z3)
                     if not val.is_zero():
                         bad.append(("[[Pi,Pi]](%s, %s, %s)" % (l1, l2, l3),
-                                    _elem_to_diolic(val)))
+                                    _as_diolic(val, m)))
     return bad
 
 
@@ -551,7 +418,24 @@ def is_poisson0(pi):
     return pde_ok, residuals
 
 
-class JacobiOp0:
+def _skew_table(n, caa):
+    """Check a first-order coefficient table {(sigma, tau): Poly} for
+    |sigma|, |tau| <= 1 and skew-symmetry; drop its zero entries."""
+    caa = {(tuple(s), tuple(t)): p for (s, t), p in caa.items()}
+    for (s, t), p in caa.items():
+        if len(s) != n or len(t) != n or sum(s) > 1 or sum(t) > 1:
+            raise ValueError("coefficient indices must have |sigma| <= 1")
+        if not isinstance(p, Poly) or p.n != n:
+            raise ValueError("coefficients must be Poly in %d variables" % n)
+    for s, t in set(caa) | {(t, s) for (s, t) in caa}:
+        a = caa.get((s, t), Poly.zero(n))
+        b = caa.get((t, s), Poly.zero(n))
+        if (a + b) != Poly.zero(n):
+            raise ValueError("coefficient table must be skew-symmetric")
+    return {k: v for k, v in caa.items() if not v.is_zero()}
+
+
+class JacobiOp0(_Bracket0):
     """Skew first-order bidifferential bracket on A (+) P, degree 0.
 
     caa maps multi-index pairs (sigma, tau) with |sigma|, |tau| <= 1 to
@@ -566,18 +450,6 @@ class JacobiOp0:
     __slots__ = ("n", "m", "caa", "dmap")
 
     def __init__(self, n, m, caa, dmap, probe_degree=2):
-        caa = {(tuple(s), tuple(t)): p for (s, t), p in caa.items()}
-        for (s, t), p in caa.items():
-            if len(s) != n or len(t) != n or sum(s) > 1 or sum(t) > 1:
-                raise ValueError("coefficient indices must have |sigma| <= 1")
-            if not isinstance(p, Poly) or p.n != n:
-                raise ValueError("coefficients must be Poly in %d variables" % n)
-        keys = set(caa) | {(t, s) for (s, t) in caa}
-        for s, t in keys:
-            a = caa.get((s, t), Poly.zero(n))
-            b = caa.get((t, s), Poly.zero(n))
-            if (a + b) != Poly.zero(n):
-                raise ValueError("coefficient table must be skew-symmetric")
         dmap = {tuple(s): op for s, op in dmap.items()}
         for s, op in dmap.items():
             if len(s) != n or sum(s) > 1:
@@ -588,7 +460,7 @@ class JacobiOp0:
                 raise ValueError("second-slot operators must have order <= 1")
         self.n = n
         self.m = m
-        self.caa = {k: v for k, v in caa.items() if not v.is_zero()}
+        self.caa = _skew_table(n, caa)
         self.dmap = {k: v for k, v in dmap.items() if not v.is_zero()}
         self._validate(probe_degree)
 
@@ -627,34 +499,6 @@ class JacobiOp0:
             if not da.is_zero():
                 out = out + da * (op @ p)
         return out
-
-    def eval(self, z1, z2):
-        if isinstance(z1, Poly) and isinstance(z2, Poly):
-            return self.eval_aa(z1, z2)
-        if isinstance(z1, Poly) and isinstance(z2, PolyVec):
-            return self.eval_ap(z1, z2)
-        if isinstance(z1, PolyVec) and isinstance(z2, Poly):
-            return -self.eval_ap(z2, z1)
-        if isinstance(z1, PolyVec) and isinstance(z2, PolyVec):
-            return Poly.zero(self.n)
-        raise TypeError("arguments must be Poly or PolyVec")
-
-
-def _gdeg_of(z):
-    return 1 if isinstance(z, PolyVec) else 0
-
-
-def jacobiator0(b, z1, z2, z3):
-    """Jac(z1, z2, z3) = B(B(z1,z2),z3) - B(z1,B(z2,z3)) + (-1)^(g1 g2) B(z2,B(z1,z3)).
-
-    For all-even arguments this is the cyclic Jacobiator; the sign on the
-    third term is the one compatible with graded skewness of the bracket.
-    """
-    g1, g2 = _gdeg_of(z1), _gdeg_of(z2)
-    out = b.eval(b.eval(z1, z2), z3)
-    out = out - b.eval(z1, b.eval(z2, z3))
-    term = b.eval(z2, b.eval(z1, z3))
-    return out + term if (-1) ** (g1 * g2) > 0 else out - term
 
 
 def is_jacobi0(b, probe_degree=3):
@@ -716,29 +560,11 @@ class JacobiNeg1:
     def __init__(self, n, caa, m=1):
         if m != 1:
             raise ValueError("degree -1 Jacobi brackets exist only at rank 1")
-        caa = {(tuple(s), tuple(t)): p for (s, t), p in caa.items()}
-        for (s, t), p in caa.items():
-            if len(s) != n or len(t) != n or sum(s) > 1 or sum(t) > 1:
-                raise ValueError("coefficient indices must have |sigma| <= 1")
-        keys = set(caa) | {(t, s) for (s, t) in caa}
-        for s, t in keys:
-            a = caa.get((s, t), Poly.zero(n))
-            bb = caa.get((t, s), Poly.zero(n))
-            if (a + bb) != Poly.zero(n):
-                raise ValueError("coefficient table must be skew-symmetric")
         self.n = n
-        self.caa = {k: v for k, v in caa.items() if not v.is_zero()}
+        self.caa = _skew_table(n, caa)
 
-    def eval(self, f, g):
-        out = Poly.zero(self.n)
-        for (s, t), c in self.caa.items():
-            df = f.partial_sigma(s)
-            if df.is_zero():
-                continue
-            dg = g.partial_sigma(t)
-            if not dg.is_zero():
-                out = out + c * df * dg
-        return out
+    # the bracket on f p0, g p0 is the A-A part of a first-order bracket
+    eval = JacobiOp0.eval_aa
 
 
 def jacobi_neg1_residuals(j, probe_degree=3):
@@ -794,9 +620,7 @@ def jacobiator_neg1_graded(l, z1, z2, z3):
     internal degree -1.  (When both of the first two arguments come from A
     every term vanishes outright, so the odd case is vacuous.)
     """
-    g1 = 1 if isinstance(z1, PolyVec) else 0
-    g2 = 1 if isinstance(z2, PolyVec) else 0
-    sgn = (-1) ** ((g1 - 1) * (g2 - 1))
+    sgn = (-1) ** ((_gdeg_of(z1) - 1) * (_gdeg_of(z2) - 1))
     out = l.eval(l.eval(z1, z2), z3)
     out = out - l.eval(z1, l.eval(z2, z3))
     term = l.eval(z2, l.eval(z1, z3))

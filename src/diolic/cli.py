@@ -86,20 +86,29 @@ def _poly_matrix(data, n, rows, cols, name):
              for j, e in enumerate(row)] for i, row in enumerate(data)]
 
 
-def _scalar_op(data, n, name):
+def _records(data, keys, name):
+    """A list of JSON objects, each holding exactly the given keys."""
     if not isinstance(data, list):
-        raise InputError("%s must be a list of {sigma, coeff} records" % name)
-    coeffs = []
+        raise InputError("%s must be a list of {%s} records" % (name, ", ".join(keys)))
     for rec in data:
         if not isinstance(rec, dict):
             raise InputError("%s entries must be objects" % name)
-        _require(rec, ("sigma", "coeff"))
-        sigma = rec["sigma"]
-        if (not isinstance(sigma, list) or len(sigma) != n
-                or any(not isinstance(e, int) or e < 0 for e in sigma)):
-            raise InputError("%s: sigma must be %d non-negative integers" % (name, n))
-        coeffs.append((tuple(sigma), _poly(rec["coeff"], n, name + ".coeff")))
-    return ScalarOp(n, coeffs)
+        _require(rec, keys)
+    return data
+
+
+def _sigma(value, n, name):
+    """A multi-index: a list of n non-negative integers."""
+    if (not isinstance(value, list) or len(value) != n
+            or any(not isinstance(e, int) or e < 0 for e in value)):
+        raise InputError("%s: sigma must be %d non-negative integers" % (name, n))
+    return tuple(value)
+
+
+def _scalar_op(data, n, name):
+    return ScalarOp(n, [(_sigma(rec["sigma"], n, name),
+                         _poly(rec["coeff"], n, name + ".coeff"))
+                        for rec in _records(data, ("sigma", "coeff"), name)])
 
 
 def _matrix_op(data, n, m, name):
@@ -197,11 +206,8 @@ def parse_problem(data, caps):
             _require(data, ("kind", "n", "m", "jacobi_aa", "jacobi_ap"))
             caa = _jacobi_aa(data["jacobi_aa"], n)
             dmap = {}
-            if not isinstance(data["jacobi_ap"], list):
-                raise InputError("jacobi_ap must be a list of {sigma, op} records")
-            for rec in data["jacobi_ap"]:
-                _require(rec, ("sigma", "op"))
-                sigma = tuple(rec["sigma"])
+            for rec in _records(data["jacobi_ap"], ("sigma", "op"), "jacobi_ap"):
+                sigma = _sigma(rec["sigma"], n, "jacobi_ap")
                 dmap[sigma] = _matrix_op(rec["op"], n, m, "jacobi_ap.op")
             return kind, JacobiOp0(n, m, caa, dmap)
 
@@ -244,11 +250,8 @@ def parse_problem(data, caps):
         if k > caps["k"]:
             raise ResourceCapError("k=%d exceeds cap %d" % (k, caps["k"]))
         table = {}
-        if not isinstance(data["nabla"], list):
-            raise InputError("nabla must be a list of {sigma, boxA, M} records")
-        for rec in data["nabla"]:
-            _require(rec, ("sigma", "boxA", "M"))
-            sigma = tuple(rec["sigma"])
+        for rec in _records(data["nabla"], ("sigma", "boxA", "M"), "nabla"):
+            sigma = _sigma(rec["sigma"], n, "nabla")
             boxa = _scalar_op(rec["boxA"], n, "nabla.boxA")
             boxp = _matrix_op(rec["M"], n, m, "nabla.M")
             table[sigma] = DiffOp0.from_pair(boxa, boxp, k)
@@ -260,14 +263,9 @@ def parse_problem(data, caps):
 
 
 def _jacobi_aa(data, n):
-    if not isinstance(data, list):
-        raise InputError("jacobi_aa must be a list of {sigma, tau, coeff} records")
-    caa = {}
-    for rec in data:
-        _require(rec, ("sigma", "tau", "coeff"))
-        s, t = tuple(rec["sigma"]), tuple(rec["tau"])
-        caa[(s, t)] = _poly(rec["coeff"], n, "jacobi_aa.coeff")
-    return caa
+    return {(_sigma(rec["sigma"], n, "jacobi_aa"), _sigma(rec["tau"], n, "jacobi_aa")):
+            _poly(rec["coeff"], n, "jacobi_aa.coeff")
+            for rec in _records(data, ("sigma", "tau", "coeff"), "jacobi_aa")}
 
 
 def canonical_problem_json(data, caps):
@@ -571,6 +569,8 @@ def cmd_cohomology(ce_path, der_args, caps):
         dims = ce_cochain_dimensions(l)
     else:
         n, m, maxdeg = der_args
+        if n < 1 or m < 1 or maxdeg < 0:
+            raise InputError("--der needs N, M >= 1 and D >= 0")
         if n > caps["n"] or m > caps["m"]:
             raise ResourceCapError("n=%d, m=%d exceeds caps" % (n, m))
         if maxdeg > caps["D"]:

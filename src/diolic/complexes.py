@@ -29,6 +29,7 @@ import itertools
 from fractions import Fraction
 
 from .poly import Poly, PolyVec, monomials_up_to
+from .derivations import _sort_with_sign
 
 
 class ResourceCapError(RuntimeError):
@@ -177,17 +178,6 @@ class FatForm:
 
     def coefficient_degree(self):
         return max((v.degree() for v in self.coeffs.values()), default=-1)
-
-
-def _sort_with_sign(idx):
-    idx = list(idx)
-    sign = 1
-    for i in range(len(idx)):
-        for j in range(len(idx) - 1 - i):
-            if idx[j] > idx[j + 1]:
-                idx[j], idx[j + 1] = idx[j + 1], idx[j]
-                sign = -sign
-    return sign, tuple(idx)
 
 
 def der_differential(w):

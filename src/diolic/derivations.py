@@ -547,8 +547,8 @@ def artificial_der(kind, d, d2=None, k=None):
                     word = idx[:t] + (mu,) + idx[t + 1:]
                     if len(set(word)) < k:
                         continue
-                    sign, sorted_word = _sort_sign(word)
-                    row = pos[tuple(sorted_word)]
+                    sign, sorted_word = _sort_with_sign(word)
+                    row = pos[sorted_word]
                     rows[row][col] = rows[row][col] + sign * g
         return Der0(X, PolyMat(n, rows))
 
@@ -570,15 +570,16 @@ def artificial_der(kind, d, d2=None, k=None):
     return Der0(X, PolyMat(n, rows))
 
 
-def _sort_sign(word):
-    word = list(word)
+def _sort_with_sign(idx):
+    """Sort a tuple; return the sign of the sorting permutation with it."""
+    idx = list(idx)
     sign = 1
-    for i in range(len(word)):
-        for j in range(len(word) - 1 - i):
-            if word[j] > word[j + 1]:
-                word[j], word[j + 1] = word[j + 1], word[j]
+    for i in range(len(idx)):
+        for j in range(len(idx) - 1 - i):
+            if idx[j] > idx[j + 1]:
+                idx[j], idx[j + 1] = idx[j + 1], idx[j]
                 sign = -sign
-    return sign, word
+    return sign, tuple(idx)
 
 
 # ---------------------------------------------------------------------------

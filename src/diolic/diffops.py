@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .poly import Poly, PolyVec, monomials_up_to
 from .ops import MatrixOp, ScalarOp, delta
-from .derivations import DiolicElement
+from .derivations import DiolicElement, _verify
 
 
 class DiffOp0:
@@ -346,12 +346,6 @@ def check_k_connection(nabla, k, n, m):
         if not b(DiolicElement(Poly.one(n), PolyVec.zero(n, m))).is_zero():
             return False
     return True
-
-
-def _verify(cond, what):
-    if not cond:
-        raise AssertionError("commutator formula disagrees with "
-                             "compose-and-subtract for %s" % what)
 
 
 def _degree(b):

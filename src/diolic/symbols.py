@@ -192,6 +192,8 @@ def parse_symbol(text, n):
     degs = {sum(ks) for (_, ks), c in acc.items() if c}
     if len(degs) > 1:
         raise ParseError("symbol is not homogeneous in the momentum variables", 0)
+    if not degs and any(sum(ks) for _, ks in acc):
+        raise ParseError("the momentum terms cancel; write 0 for the zero symbol", 0)
     k = degs.pop() if degs else 0
     return SymbolPoly(n, k, acc)
 

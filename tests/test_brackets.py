@@ -1,9 +1,13 @@
+import hashlib
+import json
+import os
 from fractions import Fraction
 
 import pytest
 
-from diolic.poly import Poly, PolyMat, PolyVec
+from diolic.poly import Poly, PolyMat, PolyVec, monomials_up_to
 from diolic.ops import MatrixOp, ScalarOp, VectorField
+from diolic.cli import DEFAULT_CAPS, parse_problem
 from diolic.derivations import DiolicElement, graded_commutator_der
 from diolic.brackets import (BiDer0, BiDer1, BiDerNeg1, BiDerNeg2,
                              JacobiNeg1, JacobiOp0, bider0_eval,
@@ -143,15 +147,17 @@ def test_schouten_antisymmetry_realizable_patterns():
 
 
 def test_schouten_square_formula_all_even():
-    # [[Pi,Pi]](a,b,-) = 2 Pi(Pi(a,b), -) - 2 [Pi(a,-), Pi(b,-)]
+    # [[Pi,Pi]](a,b,-) = 2 Pi(Pi(a,b), -) - 2 [Pi(a,-), Pi(b,-)], on A and on P
     r = rng(17)
     for _ in range(10):
         pi = rand_bider0(r, 2, 2)
         a, b, c = (rand_poly(r, 2, 2) for _ in range(3))
-        got = schouten_self_eval(pi, a, b, c)
+        p = rand_poly_vec(r, 2, 2, 2)
         ham = pi.hamiltonian(pi.eval_aa(a, b)) - graded_commutator_der(
             pi.hamiltonian(a), pi.hamiltonian(b))
-        assert got == DiolicElement.from_a(2 * ham.apply_a(c), pi.m)
+        assert schouten_self_eval(pi, a, b, c) == \
+            DiolicElement.from_a(2 * ham.apply_a(c), pi.m)
+        assert schouten_self_eval(pi, a, b, p) == DiolicElement.from_p(2 * ham.apply_p(p))
 
 
 def test_schouten_two_p_arguments_vanish():
@@ -161,6 +167,57 @@ def test_schouten_two_p_arguments_vanish():
     a = rand_poly(r, 2, 2)
     assert schouten_self_eval(pi, p, q, a).is_zero()
     assert schouten_self_eval(pi, a, p, q).is_zero()
+
+
+def _problem(name):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "problems", name)
+    with open(path) as fh:
+        return parse_problem(json.load(fh), dict(DEFAULT_CAPS))[1]
+
+
+@pytest.mark.parametrize("name, count, first, last, digest", [
+    ("poisson_broken_bivector.json", 1224,
+     "[[Pi,Pi]](x1, x2, x3) = (4*x1*x2 | (0))",
+     "[[Pi,Pi]](x3^2, x2*x3, x1*x3*e1) = (0 | (-8*x1*x2*x3^3))",
+     "22da50779719256cf86ec7a0a25e592f292f0f0f7d42b90884bca371421000a2"),
+    ("poisson_noncommuting_end.json", 576,
+     "[[Pi,Pi]](1*e1, x1, x2) = (0 | (-2, 0))",
+     "[[Pi,Pi]](x2^2, x1*x2, x2^2*e2) = (0 | (0, -4*x2^4))",
+     "2e78be49f16ce144ee45a8f2302b506c1d3df7d50c1e45e547ab0f79e4381fd3"),
+])
+def test_schouten_probe_suite_golden(name, count, first, last, digest):
+    # labels, order and printed values as produced by the inductive recursion
+    lines = ["%s = %s" % (label, value)
+             for label, value in schouten_probe_suite(_problem(name), degree=2)]
+    assert len(lines) == count
+    assert lines[0] == first and lines[-1] == last
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+def test_schouten_probe_suite_matches_self_eval():
+    r = rng(43)
+    total = 0
+    for n, m in ((2, 2), (3, 1), (2, 1)):  # the last one is Poisson
+        pi = rand_bider0(r, n, m, deg=2)
+        monos = [Poly.monomial(n, s) for s in monomials_up_to(n, 1)]
+        a_elems = [(str(a), a) for a in monos]
+        p_elems = [("%s*e%d" % (a, j + 1), a * PolyVec.basis(n, m, j))
+                   for a in monos for j in range(m)]
+        reported = dict(schouten_probe_suite(pi, degree=1))
+        for s1, s2, s3 in ((a_elems, a_elems, a_elems), (p_elems, a_elems, a_elems),
+                           (a_elems, p_elems, a_elems), (a_elems, a_elems, p_elems)):
+            for l1, z1 in s1:
+                for l2, z2 in s2:
+                    for l3, z3 in s3:
+                        label = "[[Pi,Pi]](%s, %s, %s)" % (l1, l2, l3)
+                        value = schouten_self_eval(pi, z1, z2, z3)
+                        if label in reported:
+                            assert reported.pop(label) == value
+                            total += 1
+                        else:
+                            assert value.is_zero(), label
+        assert reported == {}
+    assert total > 0
 
 
 # -- Poisson checker ---------------------------------------------------------

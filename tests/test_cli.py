@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from diolic.cli import DEFAULT_CAPS, canonical_problem_json, main
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
@@ -128,6 +130,29 @@ def test_bracket_schouten_self():
     code, out, _ = run_cli("bracket", "--kind", "schouten-self", spec1, spec2)
     assert code == 0
     assert json.loads(out)["value"] == "(0 | (0))"
+
+
+@pytest.mark.parametrize("args", [
+    ("bracket", "--kind", "symbol", "-x1*k1^2 + x1*k1^2", "x1*k1"),
+    ("cohomology", "--der", "0", "1", "1"),
+])
+def test_parse_time_errors_exit_2(args):
+    code, out, err = run_cli(*args)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("jacobi_aa", [
+    [{"sigma": 5, "tau": [1], "coeff": "1"}],
+    [5],
+])
+def test_malformed_jacobi0_records_exit_2(tmp_path, jacobi_aa):
+    f = tmp_path / "jacobi0.json"
+    f.write_text(json.dumps({"kind": "jacobi0", "n": 1, "m": 1,
+                             "jacobi_aa": jacobi_aa, "jacobi_ap": []}))
+    code, out, err = run_cli("check", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith("error: jacobi_aa") and "Traceback" not in err
 
 
 def test_cohomology_ce_files():
