@@ -10,13 +10,16 @@ Commands:
 Reports are a single JSON document on stdout with sorted keys, so a
 given input always produces byte-identical output.  Timing is emitted
 only behind --timing since it would break that determinism.  Exit codes:
-0 pass/value, 1 checker fail, 2 input error, 3 resource cap.
+0 pass/value, 1 checker fail, 2 input error, 3 resource cap.  Every
+malformed input exits 2 (any ValueError, including bracket specs whose sizes
+differ and connection tables that miss a generator); exit 1 comes only from
+a checker's verdict.
 """
 
-from __future__ import annotations
-
 import argparse
+import functools
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -44,9 +47,6 @@ class InputError(ValueError):
 
 DEFAULT_CAPS = {"n": 4, "m": 3, "k": 4, "D": 6}
 
-CHECK_KINDS = ("poisson0", "jacobi0", "jacobi_neg1", "algebroid",
-               "diolic_diffop", "k_connection", "ce")
-
 
 # ---------------------------------------------------------------------------
 # payload readers (strict: unknown keys are rejected)
@@ -67,6 +67,24 @@ def _as_int(value, name, minimum=None):
     if minimum is not None and value < minimum:
         raise InputError("%s must be >= %d" % (name, minimum))
     return value
+
+
+def _cap(key, value, caps):
+    """value, unless it exceeds the size cap caps[key]."""
+    if value > caps[key]:
+        raise ResourceCapError("%s=%d exceeds cap %d" % (key, value, caps[key]))
+    return value
+
+
+def _load(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError("cannot read %s: %s" % (path, exc))
+    except json.JSONDecodeError as exc:
+        raise InputError("%s: line %d column %d: %s"
+                         % (path, exc.lineno, exc.colno, exc.msg))
 
 
 def _poly(text, n, name):
@@ -120,10 +138,8 @@ def _matrix_op(data, n, m, name):
 
 
 def _scalar_op_json(op):
-    out = []
-    for sigma in sorted(op.coeffs, key=lambda s: (sum(s), s)):
-        out.append({"sigma": list(sigma), "coeff": str(op.coeffs[sigma])})
-    return out
+    return [{"sigma": list(sigma), "coeff": str(op.coeffs[sigma])}
+            for sigma in sorted(op.coeffs, key=lambda s: (sum(s), s))]
 
 
 def _matrix_op_json(mop):
@@ -153,113 +169,35 @@ def _fraction_tensor(data, shape, name):
 
 
 # ---------------------------------------------------------------------------
-# problem parsing
+# problem kinds: reader, canonical writer and checker of each
 
 
-def parse_problem(data, caps):
-    if not isinstance(data, dict):
-        raise InputError("problem file must hold a JSON object")
-    kind = data.get("kind")
-    if kind not in CHECK_KINDS:
-        raise InputError("unknown or missing kind: %r" % (kind,))
-
-    if kind == "ce":
-        _require(data, ("kind", "dim", "c", "rep_dim", "rho"))
-        r = _as_int(data["dim"], "dim", 1)
-        d1 = _as_int(data["rep_dim"], "rep_dim", 1)
-        c = _fraction_tensor(data["c"], (r, r, r), "c")
-        rho = _fraction_tensor(data["rho"], (r, d1, d1), "rho")
+def _read_poisson0(data, n, m, caps):
+    if not isinstance(data["bivector"], dict):
+        raise InputError("bivector must map 'i,j' keys to polynomials")
+    upper = {}
+    for key, text in sorted(data["bivector"].items()):
         try:
-            return kind, CEData(r, c, d1, rho)
-        except ValueError as exc:
-            raise InputError(str(exc))
+            i, j = (int(t) for t in key.split(","))
+        except ValueError:
+            raise InputError("bad bivector key %r" % key)
+        if not 1 <= i < j <= n:
+            raise InputError("bivector key %r out of range" % key)
+        upper[(i, j)] = _poly(text, n, "bivector[%s]" % key)
+    end = data["end_part"]
+    if not isinstance(end, list) or len(end) != n:
+        raise InputError("end_part must list n matrices")
+    mats = [PolyMat(n, _poly_matrix(end[i], n, m, m, "end_part[%d]" % (i + 1)))
+            for i in range(n)]
+    return BiDer0.from_upper(n, m, upper, mats)
 
-    n = _as_int(data.get("n"), "n", 1)
-    m = _as_int(data.get("m"), "m", 1)
-    if n > caps["n"]:
-        raise ResourceCapError("n=%d exceeds cap %d" % (n, caps["n"]))
-    if m > caps["m"]:
-        raise ResourceCapError("m=%d exceeds cap %d" % (m, caps["m"]))
 
-    try:
-        if kind == "poisson0":
-            _require(data, ("kind", "n", "m", "bivector", "end_part"))
-            upper = {}
-            if not isinstance(data["bivector"], dict):
-                raise InputError("bivector must map 'i,j' keys to polynomials")
-            for key, text in sorted(data["bivector"].items()):
-                try:
-                    i, j = (int(t) for t in key.split(","))
-                except ValueError:
-                    raise InputError("bad bivector key %r" % key)
-                if not 1 <= i < j <= n:
-                    raise InputError("bivector key %r out of range" % key)
-                upper[(i, j)] = _poly(text, n, "bivector[%s]" % key)
-            end = data["end_part"]
-            if not isinstance(end, list) or len(end) != n:
-                raise InputError("end_part must list n matrices")
-            mats = [PolyMat(n, _poly_matrix(end[i], n, m, m, "end_part[%d]" % (i + 1)))
-                    for i in range(n)]
-            return kind, BiDer0.from_upper(n, m, upper, mats)
-
-        if kind == "jacobi0":
-            _require(data, ("kind", "n", "m", "jacobi_aa", "jacobi_ap"))
-            caa = _jacobi_aa(data["jacobi_aa"], n)
-            dmap = {}
-            for rec in _records(data["jacobi_ap"], ("sigma", "op"), "jacobi_ap"):
-                sigma = _sigma(rec["sigma"], n, "jacobi_ap")
-                dmap[sigma] = _matrix_op(rec["op"], n, m, "jacobi_ap.op")
-            return kind, JacobiOp0(n, m, caa, dmap)
-
-        if kind == "jacobi_neg1":
-            _require(data, ("kind", "n", "m", "jacobi_aa"))
-            if m != 1:
-                raise InputError("jacobi_neg1 requires m = 1")
-            return kind, JacobiNeg1(n, _jacobi_aa(data["jacobi_aa"], n))
-
-        if kind == "algebroid":
-            _require(data, ("kind", "n", "m", "anchor", "structure"))
-            anchor = _poly_matrix(data["anchor"], n, m, n, "anchor")
-            rho = [VectorField(n, anchor[alpha]) for alpha in range(m)]
-            struct = data["structure"]
-            if not isinstance(struct, list) or len(struct) != m:
-                raise InputError("structure must be an m x m x m array")
-            cmats = []
-            tensor = [_poly_matrix(struct[alpha], n, m, m,
-                                   "structure[%d]" % (alpha + 1))
-                      for alpha in range(m)]
-            for alpha in range(m):
-                # C_alpha has entry (gamma, beta) = c^gamma_{alpha beta}
-                cmats.append(PolyMat(n, [[tensor[alpha][beta][gamma]
-                                          for beta in range(m)]
-                                         for gamma in range(m)]))
-            return kind, BiDerNeg1(rho, cmats)
-
-        if kind == "diolic_diffop":
-            _require(data, ("kind", "n", "m", "k", "boxA", "M"))
-            k = _as_int(data["k"], "k", 0)
-            if k > caps["k"]:
-                raise ResourceCapError("k=%d exceeds cap %d" % (k, caps["k"]))
-            boxa = _scalar_op(data["boxA"], n, "boxA")
-            boxp = _matrix_op(data["M"], n, m, "M")
-            return kind, (boxa, boxp, k)
-
-        # kind == "k_connection"
-        _require(data, ("kind", "n", "m", "k", "nabla"))
-        k = _as_int(data["k"], "k", 1)
-        if k > caps["k"]:
-            raise ResourceCapError("k=%d exceeds cap %d" % (k, caps["k"]))
-        table = {}
-        for rec in _records(data["nabla"], ("sigma", "boxA", "M"), "nabla"):
-            sigma = _sigma(rec["sigma"], n, "nabla")
-            boxa = _scalar_op(rec["boxA"], n, "nabla.boxA")
-            boxp = _matrix_op(rec["M"], n, m, "nabla.M")
-            table[sigma] = DiffOp0.from_pair(boxa, boxp, k)
-        return kind, (table, k, n, m)
-    except ValueError as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(str(exc))
+def _poisson0_json(pi):
+    return {"n": pi.n, "m": pi.m,
+            "bivector": {"%d,%d" % (i + 1, j + 1): str(pi.aa[i][j])
+                         for i in range(pi.n) for j in range(i + 1, pi.n)
+                         if not pi.aa[i][j].is_zero()},
+            "end_part": [[[str(p) for p in row] for row in g.rows] for g in pi.end]}
 
 
 def _jacobi_aa(data, n):
@@ -268,52 +206,162 @@ def _jacobi_aa(data, n):
             for rec in _records(data, ("sigma", "tau", "coeff"), "jacobi_aa")}
 
 
+def _caa_json(caa):
+    return [{"sigma": list(s), "tau": list(t), "coeff": str(caa[(s, t)])}
+            for (s, t) in sorted(caa)]
+
+
+def _read_jacobi0(data, n, m, caps):
+    return JacobiOp0(n, m, _jacobi_aa(data["jacobi_aa"], n), {
+        _sigma(rec["sigma"], n, "jacobi_ap"): _matrix_op(rec["op"], n, m, "jacobi_ap.op")
+        for rec in _records(data["jacobi_ap"], ("sigma", "op"), "jacobi_ap")})
+
+
+def _jacobi0_json(j):
+    return {"n": j.n, "m": j.m, "jacobi_aa": _caa_json(j.caa),
+            "jacobi_ap": [{"sigma": list(s), "op": _matrix_op_json(op)}
+                          for s, op in sorted(j.dmap.items())]}
+
+
+def _read_jacobi_neg1(data, n, m, caps):
+    if m != 1:
+        raise InputError("jacobi_neg1 requires m = 1")
+    return JacobiNeg1(n, _jacobi_aa(data["jacobi_aa"], n))
+
+
+def _read_algebroid(data, n, m, caps):
+    anchor = _poly_matrix(data["anchor"], n, m, n, "anchor")
+    rho = [VectorField(n, anchor[alpha]) for alpha in range(m)]
+    struct = data["structure"]
+    if not isinstance(struct, list) or len(struct) != m:
+        raise InputError("structure must be an m x m x m array")
+    tensor = [_poly_matrix(struct[alpha], n, m, m, "structure[%d]" % (alpha + 1))
+              for alpha in range(m)]
+    # C_alpha has entry (gamma, beta) = c^gamma_{alpha beta}: the transpose
+    return BiDerNeg1(rho, [PolyMat(n, [list(col) for col in zip(*t)]) for t in tensor])
+
+
+def _algebroid_json(l):
+    return {"n": l.n, "m": l.m,
+            "anchor": [[str(p) for p in v.comps] for v in l.rho],
+            "structure": [[[str(p) for p in col] for col in zip(*c.rows)] for c in l.c]}
+
+
+def _read_diffop(data, n, m, caps):
+    k = _cap("k", _as_int(data["k"], "k", 0), caps)
+    return _scalar_op(data["boxA"], n, "boxA"), _matrix_op(data["M"], n, m, "M"), k
+
+
+def _diffop_json(obj):
+    boxa, boxp, k = obj
+    return {"n": boxa.n, "m": boxp.m, "k": k,
+            "boxA": _scalar_op_json(boxa), "M": _matrix_op_json(boxp)}
+
+
+def _check_diffop(obj):
+    boxa, boxp, k = obj
+    if verify_diolic_diffop(boxa, boxp, k):
+        return True, []
+    diff = boxp - MatrixOp.scalar_times_identity(boxa, boxp.m)
+    return False, [("excess_order[%d,%d]" % (i + 1, j + 1), e)
+                   for i, row in enumerate(diff.entries)
+                   for j, e in enumerate(row) if e.order() > k - 1]
+
+
+def _read_k_connection(data, n, m, caps):
+    k = _cap("k", _as_int(data["k"], "k", 1), caps)
+    table = {_sigma(rec["sigma"], n, "nabla"): DiffOp0.from_pair(
+                 _scalar_op(rec["boxA"], n, "nabla.boxA"),
+                 _matrix_op(rec["M"], n, m, "nabla.M"), k)
+             for rec in _records(data["nabla"], ("sigma", "boxA", "M"), "nabla")}
+    return table, k, n, m
+
+
+def _k_connection_json(obj):
+    table, k, n, m = obj
+    return {"n": n, "m": m, "k": k,
+            "nabla": [{"sigma": list(s), "boxA": _scalar_op_json(b.boxA),
+                       "M": _matrix_op_json(b.boxP())}
+                      for s, b in sorted(table.items())]}
+
+
+def _check_k_connection(obj):
+    table, k, n, m = obj
+    if check_k_connection(table, k, n, m):
+        return True, []
+    residuals = []
+    unit = DiolicElement(Poly.one(n), PolyVec.zero(n, m))
+    for sigma, b in sorted(table.items()):
+        label = ",".join(str(s) for s in sigma)
+        want = ScalarOp.partial_sigma(n, sigma)
+        if b.boxA != want:
+            residuals.append(("section[%s]" % label, b.boxA - want))
+        image = b(unit)
+        if not image.is_zero():
+            residuals.append(("unit[%s]" % label, image))
+    return False, residuals
+
+
+def _read_ce(data, n, m, caps):
+    r = _as_int(data["dim"], "dim", 1)
+    d1 = _as_int(data["rep_dim"], "rep_dim", 1)
+    return CEData(r, _fraction_tensor(data["c"], (r, r, r), "c"),
+                  d1, _fraction_tensor(data["rho"], (r, d1, d1), "rho"))
+
+
+def _ce_json(l):
+    return {"dim": l.r, "rep_dim": l.d1,
+            "c": [[[str(v) for v in row] for row in block] for block in l.c],
+            "rho": [[[str(v) for v in row] for row in mat] for mat in l.rho]}
+
+
+def _all_zero(residuals):
+    return not residuals, residuals
+
+
+# kind: (payload keys, reader(data, n, m, caps), canonical writer(obj),
+#        checker(obj) -> (ok, residuals)); the checkers look the engine up at
+#        call time, so that the wrappers of perfbench/spans.py see the calls
+KINDS = {
+    "poisson0": (("n", "m", "bivector", "end_part"), _read_poisson0, _poisson0_json,
+                 lambda pi: is_poisson0(pi)),
+    "jacobi0": (("n", "m", "jacobi_aa", "jacobi_ap"), _read_jacobi0, _jacobi0_json,
+                lambda j: is_jacobi0(j)),
+    "jacobi_neg1": (("n", "m", "jacobi_aa"), _read_jacobi_neg1,
+                    lambda j: {"n": j.n, "m": 1, "jacobi_aa": _caa_json(j.caa)},
+                    lambda j: _all_zero(jacobi_neg1_residuals(j))),
+    "algebroid": (("n", "m", "anchor", "structure"), _read_algebroid, _algebroid_json,
+                  lambda l: is_lie_algebroid(l)),
+    "diolic_diffop": (("n", "m", "k", "boxA", "M"), _read_diffop, _diffop_json,
+                      _check_diffop),
+    "k_connection": (("n", "m", "k", "nabla"), _read_k_connection, _k_connection_json,
+                     _check_k_connection),
+    "ce": (("dim", "c", "rep_dim", "rho"), _read_ce, _ce_json,
+           lambda l: _all_zero(diolic_lie_residuals(l))),
+}
+
+
+def parse_problem(data, caps):
+    if not isinstance(data, dict):
+        raise InputError("problem file must hold a JSON object")
+    kind = data.get("kind")
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise InputError("unknown or missing kind: %r" % (kind,))
+    keys, read, _, _ = KINDS[kind]
+    n = m = None
+    if "n" in keys:
+        n = _as_int(data.get("n"), "n", 1)
+        m = _as_int(data.get("m"), "m", 1)
+        _cap("n", n, caps)
+        _cap("m", m, caps)
+    _require(data, ("kind",) + keys)
+    return kind, read(data, n, m, caps)
+
+
 def canonical_problem_json(data, caps):
     """Parse then re-emit a problem in canonical form (round-trip check)."""
     kind, obj = parse_problem(data, caps)
-    if kind == "poisson0":
-        biv = {"%d,%d" % (i + 1, j + 1): str(obj.aa[i][j])
-               for i in range(obj.n) for j in range(i + 1, obj.n)
-               if not obj.aa[i][j].is_zero()}
-        return {"kind": kind, "n": obj.n, "m": obj.m, "bivector": biv,
-                "end_part": [[[str(p) for p in row] for row in g.rows]
-                             for g in obj.end]}
-    if kind == "jacobi0":
-        return {"kind": kind, "n": obj.n, "m": obj.m,
-                "jacobi_aa": _caa_json(obj.caa),
-                "jacobi_ap": [{"sigma": list(s), "op": _matrix_op_json(op)}
-                              for s, op in sorted(obj.dmap.items())]}
-    if kind == "jacobi_neg1":
-        return {"kind": kind, "n": obj.n, "m": 1, "jacobi_aa": _caa_json(obj.caa)}
-    if kind == "algebroid":
-        return {"kind": kind, "n": obj.n, "m": obj.m,
-                "anchor": [[str(p) for p in v.comps] for v in obj.rho],
-                "structure": [[[str(obj.c[alpha].rows[gamma][beta])
-                                for gamma in range(obj.m)]
-                               for beta in range(obj.m)]
-                              for alpha in range(obj.m)]}
-    if kind == "diolic_diffop":
-        boxa, boxp, k = obj
-        return {"kind": kind, "n": boxa.n, "m": boxp.m, "k": k,
-                "boxA": _scalar_op_json(boxa), "M": _matrix_op_json(boxp)}
-    if kind == "k_connection":
-        table, k, n, m = obj
-        return {"kind": kind, "n": n, "m": m, "k": k,
-                "nabla": [{"sigma": list(s),
-                           "boxA": _scalar_op_json(b.boxA),
-                           "M": _matrix_op_json(b.boxP())}
-                          for s, b in sorted(table.items())]}
-    # ce
-    return {"kind": kind, "dim": obj.r, "rep_dim": obj.d1,
-            "c": [[[str(v) for v in row] for row in block] for block in obj.c],
-            "rho": [[[str(v) for v in row] for row in mat] for mat in obj.rho]}
-
-
-def _caa_json(caa):
-    out = []
-    for (s, t) in sorted(caa):
-        out.append({"sigma": list(s), "tau": list(t), "coeff": str(caa[(s, t)])})
-    return out
+    return dict(KINDS[kind][2](obj), kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -336,53 +384,8 @@ def _residuals_json(residuals):
 
 
 def cmd_check(path, caps):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
-        raise InputError("%s: line %d column %d: %s"
-                         % (path, exc.lineno, exc.colno, exc.msg))
-    kind, obj = parse_problem(data, caps)
-
-    residuals = []
-    if kind == "poisson0":
-        ok, residuals = is_poisson0(obj)
-    elif kind == "jacobi0":
-        ok, residuals = is_jacobi0(obj)
-    elif kind == "jacobi_neg1":
-        residuals = jacobi_neg1_residuals(obj)
-        ok = not residuals
-    elif kind == "algebroid":
-        ok, residuals = is_lie_algebroid(obj)
-    elif kind == "diolic_diffop":
-        boxa, boxp, k = obj
-        ok = verify_diolic_diffop(boxa, boxp, k)
-        if not ok:
-            diff = boxp - MatrixOp.scalar_times_identity(boxa, boxp.m)
-            for i in range(boxp.m):
-                for j in range(boxp.m):
-                    e = diff.entries[i][j]
-                    if e.order() > k - 1:
-                        residuals.append(
-                            ("excess_order[%d,%d]" % (i + 1, j + 1), e))
-    elif kind == "k_connection":
-        table, k, n, m = obj
-        ok = check_k_connection(table, k, n, m)
-        if not ok:
-            for sigma, b in sorted(table.items()):
-                want = ScalarOp.partial_sigma(n, sigma)
-                label = ",".join(str(s) for s in sigma)
-                if b.boxA != want:
-                    residuals.append(("section[%s]" % label, b.boxA - want))
-                unit = b(DiolicElement(Poly.one(n), PolyVec.zero(n, m)))
-                if not unit.is_zero():
-                    residuals.append(("unit[%s]" % label, unit))
-    else:  # ce
-        residuals = diolic_lie_residuals(obj)
-        ok = not residuals
-
+    kind, obj = parse_problem(_load(path), caps)
+    ok, residuals = KINDS[kind][3](obj)
     return {"kind": kind, "verdict": "pass" if ok else "fail",
             "residuals": _residuals_json(residuals)}, (0 if ok else 1)
 
@@ -397,7 +400,16 @@ def _json_spec(text, name):
     return data
 
 
-def _der0_spec(data, name):
+def _infer_n(ops, name):
+    """The length of the first sigma list among the records of the operators."""
+    for op in ops:
+        for rec in op if isinstance(op, list) else ():
+            if isinstance(rec, dict) and isinstance(rec.get("sigma"), list):
+                return len(rec["sigma"])
+    raise InputError("%s: cannot infer the variable count" % name)
+
+
+def _der0_spec(data, name, caps):
     _require(data, ("X", "G"))
     if not isinstance(data["X"], list) or not data["X"]:
         raise InputError("%s.X must list n polynomials" % name)
@@ -410,7 +422,7 @@ def _der0_spec(data, name):
     return Der0(x, g)
 
 
-def _der1_spec(data, name):
+def _der1_spec(data, name, caps):
     _require(data, ("Z",))
     rows = data["Z"]
     if not isinstance(rows, list) or not rows or any(
@@ -420,60 +432,36 @@ def _der1_spec(data, name):
     return Der1([VectorField(n, [_poly(t, n, name + ".Z") for t in r]) for r in rows])
 
 
-def _element_spec(data, n, m, name):
-    if set(data) == {"a"}:
-        return _poly(data["a"], n, name)
-    if set(data) == {"p"}:
-        if not isinstance(data["p"], list) or len(data["p"]) != m:
-            raise InputError("%s.p must list m polynomials" % name)
-        return PolyVec(n, [_poly(t, n, name) for t in data["p"]])
-    raise InputError("%s must be {\"a\": poly} or {\"p\": [poly]}" % name)
-
-
 def _diff0_spec(data, name, caps):
     _require(data, ("k", "boxA", "M"))
-    k = _as_int(data["k"], name + ".k", 0)
-    if k > caps["k"]:
-        raise ResourceCapError("k=%d exceeds cap %d" % (k, caps["k"]))
-    if not isinstance(data["M"], list) or not data["M"]:
+    k = _cap("k", _as_int(data["k"], name + ".k", 0), caps)
+    rows = data["M"]
+    if not isinstance(rows, list) or not rows:
         raise InputError("%s.M must be an m x m array" % name)
-    m = len(data["M"])
-    n = None
-    for rec in data["boxA"]:
-        if isinstance(rec, dict) and isinstance(rec.get("sigma"), list):
-            n = len(rec["sigma"])
-            break
-    if n is None:
-        for row in data["M"]:
-            for cell in row:
-                for rec in cell:
-                    if isinstance(rec, dict) and isinstance(rec.get("sigma"), list):
-                        n = len(rec["sigma"])
-                        break
-    if n is None:
-        raise InputError("%s: cannot infer the variable count" % name)
-    boxa = _scalar_op(data["boxA"], n, name + ".boxA")
-    boxp = _matrix_op(data["M"], n, m, name + ".M")
-    return DiffOp0.from_pair(boxa, boxp, k)
+    cells = [cell for row in rows if isinstance(row, list) for cell in row]
+    n = _infer_n([data["boxA"]] + cells, name)
+    return DiffOp0.from_pair(_scalar_op(data["boxA"], n, name + ".boxA"),
+                             _matrix_op(rows, n, len(rows), name + ".M"), k)
 
 
 def _diff1_spec(data, name, caps):
     _require(data, ("k", "ops"))
-    k = _as_int(data["k"], name + ".k", 0)
-    if k > caps["k"]:
-        raise ResourceCapError("k=%d exceeds cap %d" % (k, caps["k"]))
+    k = _cap("k", _as_int(data["k"], name + ".k", 0), caps)
     ops = data["ops"]
     if not isinstance(ops, list) or not ops:
         raise InputError("%s.ops must list m operators" % name)
-    n = None
-    for cell in ops:
-        for rec in cell:
-            if isinstance(rec, dict) and isinstance(rec.get("sigma"), list):
-                n = len(rec["sigma"])
-                break
-    if n is None:
-        raise InputError("%s: cannot infer the variable count" % name)
+    n = _infer_n(ops, name)
     return DiffOp1(k, [_scalar_op(cell, n, name + ".ops") for cell in ops])
+
+
+def _element_spec(data, n, m, name):
+    if not isinstance(data, dict) or set(data) not in ({"a"}, {"p"}):
+        raise InputError("%s must be {\"a\": poly} or {\"p\": [poly]}" % name)
+    if "a" in data:
+        return _poly(data["a"], n, name)
+    if not isinstance(data["p"], list) or len(data["p"]) != m:
+        raise InputError("%s.p must list m polynomials" % name)
+    return PolyVec(n, [_poly(t, n, name) for t in data["p"]])
 
 
 def _der_value_json(val):
@@ -494,95 +482,78 @@ def _der_value_json(val):
     return str(val)
 
 
+def _commutator(read1, read2, spec1, spec2, caps):
+    """Graded commutator of two derivations or two differential operators."""
+    a = read1(_json_spec(spec1, "spec1"), "spec1", caps)
+    b = read2(_json_spec(spec2, "spec2"), "spec2", caps)
+    if (a.n, a.m) != (b.n, b.m):
+        raise InputError("spec1 has (n, m) = (%d, %d) but spec2 has (%d, %d)"
+                         % (a.n, a.m, b.n, b.m))
+    if isinstance(a, DiffOp0):
+        return _der_value_json(graded_commutator_diff(a, b))
+    return _der_value_json(graded_commutator_der(a, b))
+
+
+def _symbol_bracket(spec1, spec2, caps):
+    # infer the variable count from the largest index in either spec
+    n = _cap("n", max((int(t) for text in (spec1, spec2)
+                       for t in re.findall(r"[xk](\d+)", text)), default=1), caps)
+    return str(poisson_bracket(parse_symbol(spec1, n), parse_symbol(spec2, n)))
+
+
+def _schouten_self(spec1, spec2, caps):
+    kind, pi = parse_problem(_json_spec(spec1, "spec1"), caps)
+    if kind != "poisson0":
+        raise InputError("spec1 must be a poisson0 problem")
+    args = _json_spec(spec2, "spec2")
+    _require(args, ("z",))
+    z = args["z"]
+    if not isinstance(z, list) or len(z) != 3:
+        raise InputError("spec2.z must list three elements")
+    elems = [_element_spec(e, pi.n, pi.m, "spec2.z[%d]" % (i + 1))
+             for i, e in enumerate(z)]
+    return str(schouten_self_eval(pi, *elems))
+
+
+# bracket kind: fn(spec1, spec2, caps) -> the report's value; the order is
+# that of the --kind choices
+BRACKETS = {
+    "symbol": _symbol_bracket,
+    "der0": functools.partial(_commutator, _der0_spec, _der0_spec),
+    "der0-der1": functools.partial(_commutator, _der0_spec, _der1_spec),
+    "der1-der1": functools.partial(_commutator, _der1_spec, _der1_spec),
+    "diff0": functools.partial(_commutator, _diff0_spec, _diff0_spec),
+    "diff0-diff1": functools.partial(_commutator, _diff0_spec, _diff1_spec),
+    "schouten-self": _schouten_self,
+}
+
+
 def cmd_bracket(kind, spec1, spec2, caps):
-    if kind == "symbol":
-        # infer the variable count from the largest index in either spec
-        import re
-        indices = [int(t) for text in (spec1, spec2)
-                   for t in re.findall(r"[xk](\d+)", text)]
-        n = max(indices, default=1)
-        if n > caps["n"]:
-            raise ResourceCapError("n=%d exceeds cap %d" % (n, caps["n"]))
-        try:
-            s1 = parse_symbol(spec1, n)
-            s2 = parse_symbol(spec2, n)
-        except ParseError as exc:
-            raise InputError(str(exc))
-        value = str(poisson_bracket(s1, s2))
-    elif kind == "der0":
-        d1 = _der0_spec(_json_spec(spec1, "spec1"), "spec1")
-        d2 = _der0_spec(_json_spec(spec2, "spec2"), "spec2")
-        value = _der_value_json(graded_commutator_der(d1, d2))
-    elif kind == "der0-der1":
-        d1 = _der0_spec(_json_spec(spec1, "spec1"), "spec1")
-        d2 = _der1_spec(_json_spec(spec2, "spec2"), "spec2")
-        value = _der_value_json(graded_commutator_der(d1, d2))
-    elif kind == "der1-der1":
-        d1 = _der1_spec(_json_spec(spec1, "spec1"), "spec1")
-        d2 = _der1_spec(_json_spec(spec2, "spec2"), "spec2")
-        value = _der_value_json(graded_commutator_der(d1, d2))
-    elif kind == "diff0":
-        b1 = _diff0_spec(_json_spec(spec1, "spec1"), "spec1", caps)
-        b2 = _diff0_spec(_json_spec(spec2, "spec2"), "spec2", caps)
-        value = _der_value_json(graded_commutator_diff(b1, b2))
-    elif kind == "diff0-diff1":
-        b1 = _diff0_spec(_json_spec(spec1, "spec1"), "spec1", caps)
-        b2 = _diff1_spec(_json_spec(spec2, "spec2"), "spec2", caps)
-        value = _der_value_json(graded_commutator_diff(b1, b2))
-    elif kind == "schouten-self":
-        data = _json_spec(spec1, "spec1")
-        kind1, pi = parse_problem(data, caps)
-        if kind1 != "poisson0":
-            raise InputError("spec1 must be a poisson0 problem")
-        args = _json_spec(spec2, "spec2")
-        _require(args, ("z",))
-        z = args["z"]
-        if not isinstance(z, list) or len(z) != 3:
-            raise InputError("spec2.z must list three elements")
-        elems = [_element_spec(e, pi.n, pi.m, "spec2.z[%d]" % (i + 1))
-                 for i, e in enumerate(z)]
-        value = str(schouten_self_eval(pi, *elems))
-    else:
-        raise InputError("unknown bracket kind %r" % kind)
-    return {"kind": "bracket/" + kind, "verdict": "value",
-            "residuals": [], "value": value}, 0
+    return {"kind": "bracket/" + kind, "verdict": "value", "residuals": [],
+            "value": BRACKETS[kind](spec1, spec2, caps)}, 0
 
 
 def cmd_cohomology(ce_path, der_args, caps):
     if (ce_path is None) == (der_args is None):
         raise InputError("give exactly one of --ce FILE or --der N M D")
     if ce_path is not None:
-        try:
-            with open(ce_path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise InputError("cannot read %s: %s" % (ce_path, exc))
-        except json.JSONDecodeError as exc:
-            raise InputError("%s: line %d column %d: %s"
-                             % (ce_path, exc.lineno, exc.colno, exc.msg))
-        kind, l = parse_problem(data, caps)
+        kind, l = parse_problem(_load(ce_path), caps)
         if kind != "ce":
             raise InputError("cohomology --ce expects a ce problem file")
         if not diolic_lie_check(l):
             raise InputError("structure constants / representation are invalid")
-        betti = ce_cohomology(l)
-        dims = ce_cochain_dimensions(l)
+        betti, dims = ce_cohomology(l), ce_cochain_dimensions(l)
     else:
         n, m, maxdeg = der_args
         if n < 1 or m < 1 or maxdeg < 0:
             raise InputError("--der needs N, M >= 1 and D >= 0")
-        if n > caps["n"] or m > caps["m"]:
-            raise ResourceCapError("n=%d, m=%d exceeds caps" % (n, m))
-        if maxdeg > caps["D"]:
-            raise ResourceCapError("D=%d exceeds cap %d" % (maxdeg, caps["D"]))
+        for key, value in zip("nmD", der_args):
+            _cap(key, value, caps)
         betti = der_cohomology_truncated(n, m, maxdeg)
         dims = der_cochain_dimensions(n, m, maxdeg)
-    euler_dims = sum(d if i % 2 == 0 else -d for i, d in enumerate(dims))
-    euler_betti = sum(b if i % 2 == 0 else -b for i, b in enumerate(betti))
-    if euler_dims != euler_betti:
-        raise AssertionError("Euler characteristic mismatch")
+    euler = sum(b if i % 2 == 0 else -b for i, b in enumerate(betti))
     return {"kind": "cohomology", "verdict": "value", "residuals": [],
-            "betti": betti, "cochain_dims": dims, "euler": euler_betti}, 0
+            "betti": betti, "cochain_dims": dims, "euler": euler}, 0
 
 
 # ---------------------------------------------------------------------------
@@ -622,9 +593,7 @@ def build_parser():
     p.add_argument("path")
 
     p = sub.add_parser("bracket", help="graded bracket of two specifications")
-    p.add_argument("--kind", required=True,
-                   choices=["symbol", "der0", "der0-der1", "der1-der1",
-                            "diff0", "diff0-diff1", "schouten-self"])
+    p.add_argument("--kind", required=True, choices=list(BRACKETS))
     p.add_argument("spec1")
     p.add_argument("spec2")
 
@@ -648,7 +617,7 @@ def main(argv=None):
         else:
             der = tuple(args.der) if args.der else None
             payload, code = cmd_cohomology(args.ce, der, caps)
-    except InputError as exc:
+    except ValueError as exc:  # InputError, ParseError and the engine's alike
         sys.stderr.write("error: %s\n" % exc)
         return 2
     except ResourceCapError as exc:

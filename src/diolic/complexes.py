@@ -224,6 +224,20 @@ def der_cochain_dimensions(n, m, maxdeg):
     return [comb(size, k) * m * nmono for k in range(size + 1)]
 
 
+def _betti(dims, ranks):
+    """dims[k] - rank d_k - rank d_(k-1), where ranks[k] = rank d_k.
+
+    d o d = 0 makes the image of d_(k-1) a subspace of the kernel of d_k,
+    so a negative entry means the assembled differential does not square
+    to zero (for CE data: c is not a Lie bracket or rho not a representation).
+    """
+    padded = [0] + list(ranks) + [0]
+    betti = [d - padded[k] - padded[k + 1] for k, d in enumerate(dims)]
+    if any(b < 0 for b in betti):
+        raise ValueError("d o d != 0: negative Betti numbers %r" % (betti,))
+    return betti
+
+
 def der_cohomology_truncated(n, m, maxdeg, max_dim=20000):
     """Betti numbers over Q of the coefficient-degree <= maxdeg truncation.
 
@@ -254,12 +268,7 @@ def der_cohomology_truncated(n, m, maxdeg, max_dim=20000):
             cols.append(col)
         # rank of the transpose equals the rank
         ranks.append(rank(cols) if cols else 0)
-    betti = []
-    for k in range(size + 1):
-        rk = ranks[k] if k < size else 0
-        rk_prev = ranks[k - 1] if k > 0 else 0
-        betti.append(dims[k] - rk - rk_prev)
-    return betti
+    return _betti(dims, ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +415,7 @@ def ce_cohomology(l):
                         col[pos[(jdx, b)]] += vec[b]
             cols.append(col)
         ranks.append(rank(cols) if cols else 0)
-    betti = []
-    for p in range(r + 1):
-        rk = ranks[p] if p < r else 0
-        rk_prev = ranks[p - 1] if p > 0 else 0
-        betti.append(dims[p] - rk - rk_prev)
-    return betti
+    return _betti(dims, ranks)
 
 
 def ce_cochain_dimensions(l):

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diolic.cli import DEFAULT_CAPS, canonical_problem_json, main
 
@@ -132,11 +135,43 @@ def test_bracket_schouten_self():
     assert json.loads(out)["value"] == "(0 | (0))"
 
 
+DIFF0 = json.dumps({"k": 1, "boxA": [{"sigma": [1], "coeff": "1"}],
+                    "M": [[[{"sigma": [1], "coeff": "1"}]]]})
+
+
+def shipped(name):
+    with open(os.path.join(PROBLEMS, name)) as fh:
+        return json.load(fh)
+
+
+def k_connection_missing_generator():
+    doc = shipped("k_connection_ok.json")
+    doc["nabla"].pop()
+    return doc
+
+
 @pytest.mark.parametrize("args", [
     ("bracket", "--kind", "symbol", "-x1*k1^2 + x1*k1^2", "x1*k1"),
     ("cohomology", "--der", "0", "1", "1"),
+    ("bracket", "--kind", "der0", '{"X":["1"],"G":[["0"]]}', '{"X":["1","0"],"G":[["0"]]}'),
+    ("bracket", "--kind", "der1-der1", '{"Z":[["1"]]}', '{"Z":[["1","0"]]}'),
+    ("bracket", "--kind", "der0-der1", '{"X":["1"],"G":[["0"]]}', '{"Z":[["1"],["0"]]}'),
+    ("bracket", "--kind", "diff0", '{"k":1,"boxA":5,"M":[[[]]]}',
+     '{"k":1,"boxA":[],"M":[[[]]]}'),
+    ("bracket", "--kind", "diff0-diff1", DIFF0, '{"k":1,"ops":[5]}'),
+    ("bracket", "--kind", "diff0", '{"k":1,"boxA":[{"sigma":[1],"coeff":"1"}],"M":[[[]]]}',
+     DIFF0),
+    ("bracket", "--kind", "schouten-self", json.dumps(shipped("poisson_so3.json")),
+     '{"z": [5, 5, 5]}'),
+    # a problem document stands for a file holding it
+    ("check", k_connection_missing_generator()),
 ])
-def test_parse_time_errors_exit_2(args):
+def test_parse_time_errors_exit_2(tmp_path, args):
+    args = list(args)
+    if isinstance(args[-1], dict):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(args[-1]))
+        args[-1] = str(path)
     code, out, err = run_cli(*args)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
@@ -209,3 +244,61 @@ def test_main_in_process():
     assert main(["cohomology", "--der", "1", "1", "1"]) == 0
     assert main(["check", os.path.join(PROBLEMS, "poisson_so3.json")]) == 0
     assert main(["check", os.path.join(PROBLEMS, "ce_invalid_rep.json")]) == 1
+
+
+# -- fuzz: one JSON leaf of a valid input replaced by a drawn value ----------
+
+FUZZ_BRACKETS = [
+    ("der0", {"X": ["1"], "G": [["0"]]}, {"X": ["x1"], "G": [["0"]]}),
+    ("der0-der1", {"X": ["1", "0"], "G": [["0", "0"], ["0", "0"]]},
+     {"Z": [["x1", "0"], ["0", "x2"]]}),
+    ("der1-der1", {"Z": [["1", "0"], ["0", "1"]]}, {"Z": [["x2", "0"], ["0", "x1"]]}),
+    ("diff0", {"k": 2, "boxA": [{"sigma": [2], "coeff": "1"}],
+               "M": [[[{"sigma": [2], "coeff": "1"}]]]}, json.loads(DIFF0)),
+    ("diff0-diff1", json.loads(DIFF0), {"k": 1, "ops": [[{"sigma": [1], "coeff": "x1"}]]}),
+]
+
+
+FUZZ_CASES = ([("check", shipped(name)) for name in sorted(manifest())]
+              + [(kind, [s1, s2]) for kind, s1, s2 in FUZZ_BRACKETS])
+
+
+def leaf_paths(doc, path=()):
+    """Paths to the scalars and empty containers of a JSON document."""
+    if isinstance(doc, (dict, list)) and doc:
+        keys = sorted(doc) if isinstance(doc, dict) else range(len(doc))
+        return [p for k in keys for p in leaf_paths(doc[k], path + (k,))]
+    return [path]
+
+
+def replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 5), st.text("x12k+-*/0 ,", max_size=6),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["sigma", "coeff", "a"]), st.integers(0, 2), max_size=2))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_fuzz_one_leaf_exit_contract(tmp_path_factory, data):
+    kind, doc = data.draw(st.sampled_from(FUZZ_CASES))
+    doc = replaced(doc, data.draw(st.sampled_from(leaf_paths(doc))), data.draw(FUZZ_VALUES))
+    if kind == "check":
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(json.dumps(doc))
+        argv = ["check", str(path)]
+    else:
+        argv = ["bracket", "--kind", kind] + [json.dumps(spec) for spec in doc]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert code != 1 or json.loads(out.getvalue())["verdict"] == "fail"

@@ -1,3 +1,5 @@
+import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -176,6 +178,17 @@ def test_ce_cohomology_golden_values():
     assert ce_cohomology(abelian2_trivial()) == [1, 2, 1]
     assert ce_cohomology(sl2_adjoint()) == [0, 0, 0, 0]
     assert ce_cohomology(sl2_trivial()) == [1, 0, 0, 1]
+
+
+def test_ce_cohomology_rejects_negative_betti():
+    # rho of the shipped invalid file is no representation: d o d != 0, and
+    # dims - ranks came out as [0, -2, -2, 0]
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "problems",
+                        "ce_invalid_rep.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    with pytest.raises(ValueError, match="negative Betti"):
+        ce_cohomology(CEData(doc["dim"], doc["c"], doc["rep_dim"], doc["rho"]))
 
 
 def test_ce_euler_identity():
