@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 
 from .poly import (ParseError, Poly, PolyMat, PolyVec, monomials_up_to,
                    parse_poly)
-from .ops import (MatrixOp, ScalarOp, VectorField, commutator, delta,
-                  delta_nest, verify_order)
+from .ops import (MatrixOp, RouteError, ScalarOp, VectorField, commutator,
+                  delta, delta_nest, verify_order)
 from .derivations import (Der0, Der1, DerNeg1, DiolicElement,
                           TruncatedDiolicModule, artificial_der,
                           check_phi_der, der0_apply, der0_split, der1_apply,

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 
 from .poly import Poly, PolyMat, PolyVec, monomials_up_to
-from .ops import MatrixOp, ScalarOp, VectorField
+from .ops import MatrixOp, RouteError, ScalarOp, VectorField
 from .derivations import Der0, Der1, DiolicElement, graded_commutator_der
 
 
@@ -414,7 +414,7 @@ def is_poisson0(pi):
                                           % (i + 1, j + 1, a + 1, b + 1), c))
 
     if pde_ok != curv_ok:
-        raise AssertionError("PDE residuals disagree with the commutator oracle")
+        raise RouteError("PDE residuals disagree with the commutator oracle")
     return pde_ok, residuals
 
 

@@ -10,10 +10,11 @@ Commands:
 Reports are a single JSON document on stdout with sorted keys, so a
 given input always produces byte-identical output.  Timing is emitted
 only behind --timing since it would break that determinism.  Exit codes:
-0 pass/value, 1 checker fail, 2 input error, 3 resource cap.  Every
-malformed input exits 2 (any ValueError, including bracket specs whose sizes
-differ and connection tables that miss a generator); exit 1 comes only from
-a checker's verdict.
+0 pass/value, 1 checker fail, 2 input error, 3 resource cap, 4 internal
+route disagreement (two independent computations of one value differ: an
+engine bug, never a verdict).  Every malformed input exits 2 (any
+ValueError, including bracket specs whose sizes differ and connection
+tables that miss a generator); exit 1 comes only from a checker's verdict.
 """
 
 import argparse
@@ -26,7 +27,7 @@ from fractions import Fraction
 
 from . import __version__
 from .poly import ParseError, Poly, PolyMat, PolyVec, parse_poly
-from .ops import MatrixOp, ScalarOp, VectorField
+from .ops import MatrixOp, RouteError, ScalarOp, VectorField
 from .derivations import (Der0, Der1, DerNeg1, DiolicElement,
                           graded_commutator_der)
 from .diffops import (DiffOp0, DiffOp1, check_k_connection,
@@ -623,6 +624,9 @@ def main(argv=None):
     except ResourceCapError as exc:
         sys.stderr.write("resource cap: %s\n" % exc)
         return 3
+    except RouteError as exc:
+        sys.stderr.write("error: internal route disagreement: %s\n" % exc)
+        return 4
     timing = int((time.monotonic() - started) * 1000) if args.timing else None
     _report(payload, args.pretty, timing)
     return code

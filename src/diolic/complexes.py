@@ -72,13 +72,6 @@ def _basis_size(n, m):
     return n + m * m
 
 
-def _basis_label(n, m, idx):
-    if idx < n:
-        return "nabla%d" % (idx + 1)
-    a, b = divmod(idx - n, m)
-    return "E(%d,%d)" % (a + 1, b + 1)
-
-
 def _basis_apply(n, m, idx, vec):
     if idx < n:
         return vec.partial(idx + 1)

@@ -16,15 +16,13 @@ operators; in normal form that comparison is an exact identity check.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import itertools
 
-from .poly import Poly, PolyMat, PolyVec, monomials_up_to
-from .ops import MatrixOp, ScalarOp, VectorField
+from .poly import Poly, PolyMat, PolyVec, _Linear, monomials_up_to
+from .ops import MatrixOp, RouteError, ScalarOp, VectorField
 
 
-class DiolicElement:
+class DiolicElement(_Linear):
     """Homogeneous-or-mixed element (a, p) of A (+) P."""
 
     __slots__ = ("a", "p")
@@ -47,39 +45,17 @@ class DiolicElement:
     def from_p(cls, p):
         return cls(Poly.zero(p.n), p)
 
+    def _parts(self):
+        return (self.a, self.p)
+
+    def _rebuild(self, parts, other=None):
+        return DiolicElement(*parts)
+
     def __mul__(self, other):
         if not isinstance(other, DiolicElement):
-            return NotImplemented
+            return _Linear.__mul__(self, other)
         # (a, p)(b, q) = (ab, aq + bp); the P*P component is dropped
         return DiolicElement(self.a * other.a, self.a * other.p + other.a * self.p)
-
-    def __add__(self, other):
-        if not isinstance(other, DiolicElement):
-            return NotImplemented
-        return DiolicElement(self.a + other.a, self.p + other.p)
-
-    def __sub__(self, other):
-        if not isinstance(other, DiolicElement):
-            return NotImplemented
-        return DiolicElement(self.a - other.a, self.p - other.p)
-
-    def __neg__(self):
-        return DiolicElement(-self.a, -self.p)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return DiolicElement(other * self.a, other * self.p)
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, DiolicElement):
-            return NotImplemented
-        return self.a == other.a and self.p == other.p
-
-    __hash__ = None
-
-    def is_zero(self):
-        return self.a.is_zero() and self.p.is_zero()
 
     def __str__(self):
         return "(%s | %s)" % (self.a, self.p)
@@ -87,7 +63,7 @@ class DiolicElement:
     __repr__ = __str__
 
 
-class Der0:
+class Der0(_Linear):
     """Degree-0 derivation: X on A, X + G on P."""
 
     __slots__ = ("n", "m", "X", "G")
@@ -123,37 +99,11 @@ class Der0:
         return (MatrixOp.scalar_times_identity(self.X.to_scalar_op(), self.m)
                 + MatrixOp.from_polymat(self.G))
 
-    def __add__(self, other):
-        self._check(other)
-        return Der0(self.X + other.X, self.G + other.G)
+    def _parts(self):
+        return (self.X, self.G)
 
-    def __sub__(self, other):
-        self._check(other)
-        return Der0(self.X - other.X, self.G - other.G)
-
-    def __neg__(self):
-        return Der0(-self.X, -self.G)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return Der0(other * self.X, other * self.G)
-        return NotImplemented
-
-    __mul__ = __rmul__
-
-    def _check(self, other):
-        if self.n != other.n or self.m != other.m:
-            raise ValueError("dimension mismatch")
-
-    def __eq__(self, other):
-        if not isinstance(other, Der0):
-            return NotImplemented
-        return self.X == other.X and self.G == other.G
-
-    __hash__ = None
-
-    def is_zero(self):
-        return self.X.is_zero() and self.G.is_zero()
+    def _rebuild(self, parts, other=None):
+        return Der0(*parts)
 
     def __str__(self):
         return "Der0(X=%s, G=%s)" % (self.X, self.G)
@@ -161,7 +111,7 @@ class Der0:
     __repr__ = __str__
 
 
-class Der1:
+class Der1(_Linear):
     """Degree-1 derivation a -> sum_alpha Z^alpha(a) e_alpha; kills P."""
 
     __slots__ = ("n", "m", "Z")
@@ -193,37 +143,11 @@ class Der1:
     def to_column(self):
         return [z.to_scalar_op() for z in self.Z]
 
-    def __add__(self, other):
-        self._check(other)
-        return Der1([a + b for a, b in zip(self.Z, other.Z)])
+    def _parts(self):
+        return self.Z
 
-    def __sub__(self, other):
-        self._check(other)
-        return Der1([a - b for a, b in zip(self.Z, other.Z)])
-
-    def __neg__(self):
-        return Der1([-a for a in self.Z])
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return Der1([other * a for a in self.Z])
-        return NotImplemented
-
-    __mul__ = __rmul__
-
-    def _check(self, other):
-        if self.n != other.n or self.m != other.m:
-            raise ValueError("dimension mismatch")
-
-    def __eq__(self, other):
-        if not isinstance(other, Der1):
-            return NotImplemented
-        return self.Z == other.Z
-
-    __hash__ = None
-
-    def is_zero(self):
-        return all(z.is_zero() for z in self.Z)
+    def _rebuild(self, parts, other=None):
+        return Der1(parts)
 
     def __str__(self):
         return "Der1(%s)" % (", ".join(str(z) for z in self.Z))
@@ -231,7 +155,7 @@ class Der1:
     __repr__ = __str__
 
 
-class DerNeg1:
+class DerNeg1(_Linear):
     """Degree -1 derivation: the A-linear functional p -> sum phi_a p^a.
 
     Exists only for m = 1.  For m >= 2 the graded Leibniz rule on the
@@ -272,24 +196,11 @@ class DerNeg1:
         # as operator P -> A with P identified with A at rank 1
         return ScalarOp.mult(self.phi[0])
 
-    def __add__(self, other):
-        return DerNeg1([self.phi[0] + other.phi[0]])
+    def _parts(self):
+        return self.phi
 
-    def __sub__(self, other):
-        return DerNeg1([self.phi[0] - other.phi[0]])
-
-    def __neg__(self):
-        return DerNeg1([-self.phi[0]])
-
-    def __eq__(self, other):
-        if not isinstance(other, DerNeg1):
-            return NotImplemented
-        return self.phi == other.phi
-
-    __hash__ = None
-
-    def is_zero(self):
-        return self.phi[0].is_zero()
+    def _rebuild(self, parts, other=None):
+        return DerNeg1(parts)
 
     def __str__(self):
         return "DerNeg1(%s)" % self.phi[0]
@@ -376,7 +287,7 @@ def _column_compose_scalar(col, s):
 
 def _verify(cond, what):
     if not cond:
-        raise AssertionError("commutator formula disagrees with "
+        raise RouteError("commutator formula disagrees with "
                              "compose-and-subtract for %s" % what)
 
 
@@ -410,15 +321,12 @@ def graded_commutator_der(d1, d2):
                 v = v + d0.G.rows[alpha][beta] * z.Z[beta]
             comps.append(v)
         out = Der1(comps)
-        if sign < 0:
-            out = -out
         # A -> P check: d0^P o Z - Z o d0^A
         raw = [a - b for a, b in zip(
             _column_compose_matrix(d0.to_matrix_op(), z.to_column()),
             _column_compose_scalar(z.to_column(), d0.X.to_scalar_op()))]
-        want = out.to_column() if sign > 0 else [-c for c in out.to_column()]
-        _verify(raw == want, "Der0/Der1")
-        return out
+        _verify(raw == out.to_column(), "Der0/Der1")
+        return out if sign > 0 else -out
 
     if (g1, g2) == (1, 1) or (g1, g2) == (-1, -1):
         return 0
@@ -430,14 +338,11 @@ def graded_commutator_der(d1, d2):
         f = phi.phi[0]
         g = d0.G.rows[0][0]
         out = DerNeg1([d0.X(f) - f * g])
-        if sign < 0:
-            out = -out
         # P -> A check: d0^A o phi - phi o d0^P
         raw = (d0.X.to_scalar_op() @ phi.to_scalar_op()
                - phi.to_scalar_op() @ (d0.X.to_scalar_op() + ScalarOp.mult(g)))
-        want = out.to_scalar_op() if sign > 0 else -out.to_scalar_op()
-        _verify(raw == want, "Der0/DerNeg1")
-        return out
+        _verify(raw == out.to_scalar_op(), "Der0/DerNeg1")
+        return out if sign > 0 else -out
 
     if (g1, g2) in ((1, -1), (-1, 1)):
         z, phi = (d1, d2) if g1 == 1 else (d2, d1)
@@ -454,7 +359,7 @@ def graded_commutator_der(d1, d2):
                 and raw_p == out.to_matrix_op().entries[0][0], "Der1/DerNeg1")
         return out
 
-    raise AssertionError("unhandled degree pair (%d, %d)" % (g1, g2))
+    raise RouteError("unhandled degree pair (%d, %d)" % (g1, g2))
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,17 @@ degree -1 operators (P -> A) exist only at rank 1.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .poly import Poly, PolyVec, monomials_up_to
-from .ops import MatrixOp, ScalarOp, delta
+from .poly import Poly, PolyVec, _Linear, monomials_up_to
+from .ops import MatrixOp, RouteError, ScalarOp, delta
 from .derivations import DiolicElement, _verify
 
 
-class DiffOp0:
+def _sum_order(a, b=None):
+    """Order k of a sum or difference of a and b; of a alone if b is None."""
+    return a.k if b is None else max(a.k, b.k)
+
+
+class DiffOp0(_Linear):
     """Degree-0 operator boxA*I + M of order k in split normal form."""
 
     __slots__ = ("n", "m", "k", "boxA", "M")
@@ -72,37 +75,11 @@ class DiffOp0:
             raise ValueError("cannot embed into a lower order")
         return DiffOp0(k, self.boxA, self.M)
 
-    def __add__(self, other):
-        self._check(other)
-        return DiffOp0(max(self.k, other.k), self.boxA + other.boxA, self.M + other.M)
+    def _parts(self):
+        return (self.boxA, self.M)
 
-    def __sub__(self, other):
-        self._check(other)
-        return DiffOp0(max(self.k, other.k), self.boxA - other.boxA, self.M - other.M)
-
-    def __neg__(self):
-        return DiffOp0(self.k, -self.boxA, -self.M)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return DiffOp0(self.k, other * self.boxA, other * self.M)
-        return NotImplemented
-
-    __mul__ = __rmul__
-
-    def _check(self, other):
-        if self.n != other.n or self.m != other.m:
-            raise ValueError("dimension mismatch")
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffOp0):
-            return NotImplemented
-        return self.boxA == other.boxA and self.M == other.M
-
-    __hash__ = None
-
-    def is_zero(self):
-        return self.boxA.is_zero() and self.M.is_zero()
+    def _rebuild(self, parts, other=None):
+        return DiffOp0(_sum_order(self, other), *parts)
 
     def __str__(self):
         return "DiffOp0(k=%d, boxA=%s, M=%s)" % (self.k, self.boxA, self.M)
@@ -110,7 +87,7 @@ class DiffOp0:
     __repr__ = __str__
 
 
-class DiffOp1:
+class DiffOp1(_Linear):
     """Degree-1 operator A -> P of order k: a column of scalar operators."""
 
     __slots__ = ("n", "m", "k", "ops")
@@ -150,37 +127,11 @@ class DiffOp1:
             raise ValueError("cannot embed into a lower order")
         return DiffOp1(k, self.ops)
 
-    def __add__(self, other):
-        self._check(other)
-        return DiffOp1(max(self.k, other.k), [a + b for a, b in zip(self.ops, other.ops)])
+    def _parts(self):
+        return self.ops
 
-    def __sub__(self, other):
-        self._check(other)
-        return DiffOp1(max(self.k, other.k), [a - b for a, b in zip(self.ops, other.ops)])
-
-    def __neg__(self):
-        return DiffOp1(self.k, [-a for a in self.ops])
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return DiffOp1(self.k, [other * a for a in self.ops])
-        return NotImplemented
-
-    __mul__ = __rmul__
-
-    def _check(self, other):
-        if self.n != other.n or self.m != other.m:
-            raise ValueError("dimension mismatch")
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffOp1):
-            return NotImplemented
-        return self.ops == other.ops
-
-    __hash__ = None
-
-    def is_zero(self):
-        return all(o.is_zero() for o in self.ops)
+    def _rebuild(self, parts, other=None):
+        return DiffOp1(_sum_order(self, other), parts)
 
     def __str__(self):
         return "DiffOp1(k=%d, %s)" % (self.k, ", ".join(str(o) for o in self.ops))
@@ -188,7 +139,7 @@ class DiffOp1:
     __repr__ = __str__
 
 
-class DiffOpNeg1:
+class DiffOpNeg1(_Linear):
     """Degree -1 operator P -> A of order k; exists only at rank 1."""
 
     __slots__ = ("n", "m", "k", "op")
@@ -216,40 +167,16 @@ class DiffOpNeg1:
             return DiolicElement.from_a(self(e.p), 1)
         raise TypeError("DiffOpNeg1 acts on Poly, PolyVec or DiolicElement")
 
-    def __add__(self, other):
-        if not isinstance(other, DiffOpNeg1):
-            return NotImplemented
-        return DiffOpNeg1(max(self.k, other.k), self.op + other.op)
+    def _parts(self):
+        return (self.op,)
 
-    def __sub__(self, other):
-        if not isinstance(other, DiffOpNeg1):
-            return NotImplemented
-        return DiffOpNeg1(max(self.k, other.k), self.op - other.op)
-
-    def __neg__(self):
-        return DiffOpNeg1(self.k, -self.op)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return DiffOpNeg1(self.k, other * self.op)
-        return NotImplemented
-
-    __mul__ = __rmul__
+    def _rebuild(self, parts, other=None):
+        return DiffOpNeg1(_sum_order(self, other), *parts)
 
     def embed(self, k):
         if k < self.k:
             raise ValueError("cannot embed into a lower order")
         return DiffOpNeg1(k, self.op)
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffOpNeg1):
-            return NotImplemented
-        return self.op == other.op
-
-    __hash__ = None
-
-    def is_zero(self):
-        return self.op.is_zero()
 
     def __str__(self):
         return "DiffOpNeg1(k=%d, %s)" % (self.k, self.op)
@@ -293,7 +220,7 @@ def verify_diolic_diffop(boxA, boxP, k):
         if not by_delta:
             break
     if by_order != by_delta:
-        raise AssertionError("order route and delta route disagree")
+        raise RouteError("order route and delta route disagree")
     return by_order
 
 
@@ -394,13 +321,10 @@ def graded_commutator_diff(b1, b2):
                 c = c + b0.M.entries[j][beta] @ b1d.ops[beta]
             comps.append(c)
         out = DiffOp1(max(k + l - 1, 0), comps)
-        if sign < 0:
-            out = DiffOp1(out.k, [-c for c in out.ops])
         raw = [sum((b0.boxP().entries[j][beta] @ b1d.ops[beta] for beta in range(b0.m)),
                    ScalarOp.zero(n)) - b1d.ops[j] @ b0.boxA for j in range(b0.m)]
-        want = out.ops if sign > 0 else tuple(-c for c in out.ops)
-        _verify(list(raw) == list(want), "DiffOp0/DiffOp1")
-        return out
+        _verify(tuple(raw) == out.ops, "DiffOp0/DiffOp1")
+        return out if sign > 0 else -out
 
     if (g1, g2) in ((1, 1), (-1, -1)):
         return 0
@@ -409,10 +333,13 @@ def graded_commutator_diff(b1, b2):
         b0, bn, sign = (b1, b2, 1) if g1 == 0 else (b2, b1, -1)
         if b0.m != 1:
             raise ValueError("degree -1 requires rank 1")
-        scalar_p = b0.boxP().entries[0][0]
-        op = b0.boxA @ bn.op - bn.op @ scalar_p
-        out = DiffOpNeg1(max(b0.k + bn.k - 1, 0), sign * op if sign > 0 else -op)
-        return out
+        box, op = b0.boxA, bn.op
+        out = DiffOpNeg1(max(b0.k + bn.k - 1, 0),
+                         box @ op - op @ box - op @ b0.M.entries[0][0])
+        # P -> A check: boxA o op - op o boxP
+        raw = box @ op - op @ b0.boxP().entries[0][0]
+        _verify(raw == out.op, "DiffOp0/DiffOpNeg1")
+        return out if sign > 0 else -out
 
     # odd-odd mixed pair: anticommutator, degree 0
     b1d, bn = (b1, b2) if g1 == 1 else (b2, b1)

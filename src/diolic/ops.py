@@ -22,7 +22,11 @@ import itertools
 import math
 from fractions import Fraction
 
-from .poly import Poly, PolyMat, PolyVec, mi_add, mi_sub, monomials_up_to
+from .poly import Poly, PolyMat, PolyVec, _Linear, mi_add, mi_sub, monomials_up_to
+
+
+class RouteError(AssertionError):
+    """Two independent routes to the same value disagree: an engine bug."""
 
 
 def _binom(sigma, rho):
@@ -273,11 +277,11 @@ def verify_order(op, k):
                 by_delta = False
                 break
     if by_coeff != by_delta:
-        raise AssertionError("order checks disagree; operator storage is corrupt")
+        raise RouteError("order checks disagree; operator storage is corrupt")
     return by_coeff
 
 
-class MatrixOp:
+class MatrixOp(_Linear):
     """m x m matrix of scalar operators, acting on PolyVec."""
 
     __slots__ = ("n", "m", "entries")
@@ -312,44 +316,21 @@ class MatrixOp:
     def order(self):
         return max((e.order() for r in self.entries for e in r), default=-1)
 
-    def is_zero(self):
-        return all(e.is_zero() for r in self.entries for e in r)
-
     def map(self, fn):
         return MatrixOp(self.n, [[fn(e) for e in r] for r in self.entries])
 
-    def _check(self, other):
-        if self.n != other.n or self.m != other.m:
-            raise ValueError("dimension mismatch")
+    def _parts(self):
+        return self.entries
 
-    def __add__(self, other):
-        if not isinstance(other, MatrixOp):
-            return NotImplemented
-        self._check(other)
-        return MatrixOp(self.n, [[a + b for a, b in zip(r1, r2)]
-                                 for r1, r2 in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        if not isinstance(other, MatrixOp):
-            return NotImplemented
-        self._check(other)
-        return MatrixOp(self.n, [[a - b for a, b in zip(r1, r2)]
-                                 for r1, r2 in zip(self.entries, other.entries)])
-
-    def __neg__(self):
-        return self.map(lambda e: -e)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return self.map(lambda e: other * e)
-        return NotImplemented
-
-    __mul__ = __rmul__
+    def _rebuild(self, parts, other=None):
+        return MatrixOp(self.n, parts)
 
     def __matmul__(self, other):
+        if not isinstance(other, (PolyVec, MatrixOp)):
+            return NotImplemented
+        if self.n != other.n or self.m != other.m:
+            raise ValueError("dimension mismatch")
         if isinstance(other, PolyVec):
-            if self.n != other.n or self.m != other.m:
-                raise ValueError("dimension mismatch")
             out = []
             for i in range(self.m):
                 acc = Poly.zero(self.n)
@@ -357,27 +338,16 @@ class MatrixOp:
                     acc = acc + self.entries[i][j](other.comps[j])
                 out.append(acc)
             return PolyVec(self.n, out)
-        if isinstance(other, MatrixOp):
-            self._check(other)
-            rows = []
-            for i in range(self.m):
-                row = []
-                for j in range(self.m):
-                    acc = ScalarOp.zero(self.n)
-                    for l in range(self.m):
-                        acc = acc + self.entries[i][l] @ other.entries[l][j]
-                    row.append(acc)
-                rows.append(row)
-            return MatrixOp(self.n, rows)
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, MatrixOp):
-            return NotImplemented
-        return (self.n == other.n and self.m == other.m
-                and self.entries == other.entries)
-
-    __hash__ = None
+        rows = []
+        for i in range(self.m):
+            row = []
+            for j in range(self.m):
+                acc = ScalarOp.zero(self.n)
+                for l in range(self.m):
+                    acc = acc + self.entries[i][l] @ other.entries[l][j]
+                row.append(acc)
+            rows.append(row)
+        return MatrixOp(self.n, rows)
 
     def order_zero_polymat(self):
         """Read the order-0 part off as a PolyMat (entries must be order <= 0)."""
@@ -397,7 +367,7 @@ class MatrixOp:
     __repr__ = __str__
 
 
-class VectorField:
+class VectorField(_Linear):
     """Derivation sum_i X_i d/dx_i of A; annihilates constants."""
 
     __slots__ = ("n", "comps")
@@ -444,35 +414,11 @@ class VectorField:
         return VectorField(self.n, [self(other.comps[i]) - other(self.comps[i])
                                     for i in range(self.n)])
 
-    def __add__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return VectorField(self.n, [a + b for a, b in zip(self.comps, other.comps)])
+    def _parts(self):
+        return self.comps
 
-    def __sub__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return VectorField(self.n, [a - b for a, b in zip(self.comps, other.comps)])
-
-    def __neg__(self):
-        return VectorField(self.n, [-a for a in self.comps])
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return VectorField(self.n, [other * a for a in self.comps])
-        return NotImplemented
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self.n == other.n and self.comps == other.comps
-
-    __hash__ = None
-
-    def is_zero(self):
-        return all(a.is_zero() for a in self.comps)
+    def _rebuild(self, parts, other=None):
+        return VectorField(self.n, parts)
 
     def __str__(self):
         return "(" + ", ".join(str(a) for a in self.comps) + ")"

@@ -14,11 +14,17 @@ Text grammar (shared with the CLI):
 
 Whitespace is insignificant.  Printing is canonical (descending
 graded-lex), and parse(print(p)) == p.
+
+`_Linear` is the one base of every value class of the package that adds,
+negates, scales and compares part by part (vectors, matrices, operators,
+derivations, symbols).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import re
 from fractions import Fraction
 
@@ -61,10 +67,6 @@ def mi_add(s, t):
 
 def mi_sub(s, t):
     return tuple(a - b for a, b in zip(s, t))
-
-
-def mi_le(s, t):
-    return all(a <= b for a, b in zip(s, t))
 
 
 class Poly:
@@ -127,9 +129,6 @@ class Poly:
 
     def coeff(self, sigma):
         return self.terms.get(tuple(sigma), Fraction(0))
-
-    def constant_term(self):
-        return self.terms.get((0,) * self.n, Fraction(0))
 
     # -- arithmetic --------------------------------------------------
 
@@ -246,30 +245,41 @@ class Poly:
     # -- printing ----------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for sigma in sorted(self.terms, key=_print_key):
-            c = self.terms[sigma]
-            factors = []
-            for j, e in enumerate(sigma):
-                if e == 1:
-                    factors.append("x%d" % (j + 1))
-                elif e > 1:
-                    factors.append("x%d^%d" % (j + 1, e))
-            mag = abs(c)
-            if factors:
-                body = "*".join(factors) if mag == 1 else "%s*%s" % (mag, "*".join(factors))
-            else:
-                body = str(mag)
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+        return format_terms(self.terms, var_names("x", self.n))
 
     def __repr__(self):
         return "Poly(%d, %s)" % (self.n, str(self))
+
+
+@functools.lru_cache(maxsize=None)
+def var_names(letter, n):
+    """The names letter1..letter<n> (a tuple; one per variable count)."""
+    return tuple("%s%d" % (letter, j + 1) for j in range(n))
+
+
+def format_terms(terms, names):
+    """Canonical text of {exponent tuple: nonzero Fraction} in the named
+    variables: descending total degree, first variable major."""
+    if not terms:
+        return "0"
+    parts = []
+    for sigma in sorted(terms, key=_print_key):
+        c = terms[sigma]
+        factors = []
+        for x, e in zip(names, sigma):
+            if e:
+                factors.append(x if e == 1 else "%s^%d" % (x, e))
+        body = "*".join(factors)
+        mag = abs(c)
+        if not body:
+            body = str(mag)
+        elif mag != 1:
+            body = "%s*%s" % (mag, body)
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +419,70 @@ def parse_poly(text, n):
 
 
 # ---------------------------------------------------------------------------
-# vectors and matrices
+# linear values, vectors and matrices
 
 
-class PolyVec:
+def _each(fn, parts):
+    return tuple([_each(fn, x) if type(x) is tuple else fn(x) for x in parts])
+
+
+def _pairwise(fn, a, b):
+    if len(a) != len(b):
+        raise ValueError("dimension mismatch")
+    return tuple([_pairwise(fn, x, y) if type(x) is tuple else fn(x, y)
+                  for x, y in zip(a, b)])
+
+
+def _all_zero(parts):
+    return all(_all_zero(x) if type(x) is tuple else x.is_zero() for x in parts)
+
+
+class _Linear:
+    """A value that adds, negates, scales and compares part by part.
+
+    A subclass supplies `_parts()`, a tuple of its parts (values with
+    their own arithmetic, or nested tuples of them), and
+    `_rebuild(parts, other=None)`, the value of the same class with new
+    parts; `other` is the second operand of a sum or difference.  A value
+    of another class gives NotImplemented, so `x == 0` is False and
+    `x + y` raises TypeError; parts of different lengths raise ValueError.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._rebuild(_pairwise(operator.add, self._parts(), other._parts()), other)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._rebuild(_pairwise(operator.sub, self._parts(), other._parts()), other)
+
+    def __neg__(self):
+        return self._rebuild(_each(operator.neg, self._parts()))
+
+    def __rmul__(self, other):
+        """Scaling by an int, a Fraction or a polynomial function."""
+        if not isinstance(other, (int, Fraction, Poly)):
+            return NotImplemented
+        return self._rebuild(_each(functools.partial(operator.mul, other), self._parts()))
+
+    __mul__ = __rmul__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._parts() == other._parts()
+
+    __hash__ = None
+
+    def is_zero(self):
+        return _all_zero(self._parts())
+
+
+class PolyVec(_Linear):
     """Element of P = A^m: a tuple of m polynomials."""
 
     __slots__ = ("n", "m", "comps")
@@ -437,37 +507,11 @@ class PolyVec:
             raise ValueError("basis index out of range")
         return cls(n, [Poly.one(n) if i == j else Poly.zero(n) for i in range(m)])
 
-    def _check(self, other):
-        if self.n != other.n or self.m != other.m:
-            raise ValueError("dimension mismatch")
+    def _parts(self):
+        return self.comps
 
-    def __add__(self, other):
-        self._check(other)
-        return PolyVec(self.n, [a + b for a, b in zip(self.comps, other.comps)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return PolyVec(self.n, [a - b for a, b in zip(self.comps, other.comps)])
-
-    def __neg__(self):
-        return PolyVec(self.n, [-a for a in self.comps])
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return PolyVec(self.n, [other * a for a in self.comps])
-        return NotImplemented
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyVec):
-            return NotImplemented
-        return self.n == other.n and self.m == other.m and self.comps == other.comps
-
-    __hash__ = None
-
-    def is_zero(self):
-        return all(p.is_zero() for p in self.comps)
+    def _rebuild(self, parts, other=None):
+        return PolyVec(self.n, parts)
 
     def partial(self, i):
         return PolyVec(self.n, [p.partial(i) for p in self.comps])
@@ -481,7 +525,7 @@ class PolyVec:
     __repr__ = __str__
 
 
-class PolyMat:
+class PolyMat(_Linear):
     """m x m matrix over A, i.e. an endomorphism of P in the fixed basis."""
 
     __slots__ = ("n", "m", "rows")
@@ -533,60 +577,31 @@ class PolyMat:
             rows.append([z] * m1 + list(b.rows[i]))
         return cls(n, rows)
 
-    def _check(self, other):
-        if self.n != other.n or self.m != other.m:
-            raise ValueError("dimension mismatch")
+    def _parts(self):
+        return self.rows
 
-    def __add__(self, other):
-        self._check(other)
-        return PolyMat(self.n, [[a + b for a, b in zip(r1, r2)]
-                                for r1, r2 in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return PolyMat(self.n, [[a - b for a, b in zip(r1, r2)]
-                                for r1, r2 in zip(self.rows, other.rows)])
-
-    def __neg__(self):
-        return PolyMat(self.n, [[-a for a in r] for r in self.rows])
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return PolyMat(self.n, [[other * a for a in r] for r in self.rows])
-        return NotImplemented
-
-    __mul__ = __rmul__
+    def _rebuild(self, parts, other=None):
+        return PolyMat(self.n, parts)
 
     def __matmul__(self, other):
+        if not isinstance(other, (PolyVec, PolyMat)):
+            return NotImplemented
+        if self.n != other.n or self.m != other.m:
+            raise ValueError("dimension mismatch")
         if isinstance(other, PolyVec):
-            if self.n != other.n or self.m != other.m:
-                raise ValueError("dimension mismatch")
             return PolyVec(self.n, [sum((self.rows[i][j] * other.comps[j]
                                          for j in range(self.m)), Poly.zero(self.n))
                                     for i in range(self.m)])
-        if isinstance(other, PolyMat):
-            self._check(other)
-            return PolyMat(self.n, [[sum((self.rows[i][k] * other.rows[k][j]
-                                          for k in range(self.m)), Poly.zero(self.n))
-                                     for j in range(self.m)]
-                                    for i in range(self.m)])
-        return NotImplemented
+        return PolyMat(self.n, [[sum((self.rows[i][k] * other.rows[k][j]
+                                      for k in range(self.m)), Poly.zero(self.n))
+                                 for j in range(self.m)]
+                                for i in range(self.m)])
 
     def commutator(self, other):
         return self @ other - other @ self
 
     def map(self, fn):
         return PolyMat(self.n, [[fn(a) for a in r] for r in self.rows])
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMat):
-            return NotImplemented
-        return self.n == other.n and self.m == other.m and self.rows == other.rows
-
-    __hash__ = None
-
-    def is_zero(self):
-        return all(p.is_zero() for r in self.rows for p in r)
 
     def __str__(self):
         return "[" + "; ".join(", ".join(str(p) for p in r) for r in self.rows) + "]"

@@ -16,40 +16,31 @@ of degree-0 operators; degree-1 symbols are columns.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .poly import ParseError, Poly, mi_add, parse_terms
-from .ops import ScalarOp
+from .poly import ParseError, Poly, _Linear, format_terms, parse_terms, var_names
+from .ops import RouteError, ScalarOp
 from .derivations import Der0
-from .diffops import DiffOp0, DiffOp1, DiffOpNeg1
+from .diffops import DiffOp0, DiffOp1, DiffOpNeg1, _sum_order
 
 
-class SymbolPoly:
-    """Polynomial on (x, xi), homogeneous of degree k in xi."""
+class SymbolPoly(_Linear):
+    """Polynomial on (x, xi), homogeneous of degree k in xi.
 
-    __slots__ = ("n", "k", "terms")
+    Stored as a Poly `p` in the 2n variables x1..xn, xi_1..xi_n.  A zero
+    symbol takes the degree of the other operand in a sum, and zero
+    symbols of different nominal degrees are equal.
+    """
 
-    def __init__(self, n, k, terms=()):
-        items = terms.items() if isinstance(terms, dict) else terms
-        acc = {}
-        for (xs, ks), c in items:
-            xs, ks = tuple(xs), tuple(ks)
-            if len(xs) != n or len(ks) != n:
-                raise ValueError("bad exponent pair")
-            if sum(ks) != k:
-                raise ValueError("term is not xi-homogeneous of degree %d" % k)
-            c = Fraction(c)
-            if c:
-                key = (xs, ks)
-                prev = acc.get(key)
-                c = c if prev is None else prev + c
-                if c:
-                    acc[key] = c
-                elif key in acc:
-                    del acc[key]
+    __slots__ = ("n", "k", "p")
+
+    def __init__(self, n, k, p=None):
+        p = Poly.zero(2 * n) if p is None else p
+        if p.n != 2 * n:
+            raise ValueError("a symbol in %d variables is a Poly in %d" % (n, 2 * n))
+        if any(sum(s[n:]) != k for s in p.terms):
+            raise ValueError("term is not xi-homogeneous of degree %d" % k)
         self.n = n
         self.k = k
-        self.terms = acc
+        self.p = p
 
     @classmethod
     def zero(cls, n, k=0):
@@ -59,155 +50,75 @@ class SymbolPoly:
     def from_poly(cls, p):
         """A polynomial in x viewed as a xi-degree-0 symbol."""
         z = (0,) * p.n
-        return cls(p.n, 0, {(s, z): c for s, c in p.terms.items()})
+        return cls(p.n, 0, Poly(2 * p.n, {s + z: c for s, c in p.terms.items()}))
 
     @classmethod
     def xi(cls, n, i):
         """The momentum variable xi_i, 1 <= i <= n."""
-        ks = tuple(1 if j == i - 1 else 0 for j in range(n))
-        return cls(n, 1, {((0,) * n, ks): Fraction(1)})
+        return cls(n, 1, Poly.var(2 * n, n + i))
 
-    def is_zero(self):
-        return not self.terms
+    @property
+    def terms(self):
+        """Read-only view {(x exponents, xi exponents): coefficient}."""
+        n = self.n
+        return {(s[:n], s[n:]): c for s, c in self.p.terms.items()}
 
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
+    def _parts(self):
+        return (self.p,)
 
-    def __add__(self, other):
-        if not isinstance(other, SymbolPoly):
-            return NotImplemented
-        self._check(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.k != other.k:
-            raise ValueError("cannot add symbols of different xi-degrees")
-        acc = dict(self.terms)
-        for key, c in other.terms.items():
-            v = acc.get(key, Fraction(0)) + c
-            if v:
-                acc[key] = v
-            elif key in acc:
-                del acc[key]
-        return SymbolPoly(self.n, self.k, acc)
-
-    def __neg__(self):
-        return SymbolPoly(self.n, self.k, {key: -c for key, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, SymbolPoly):
-            return NotImplemented
-        return self + (-other)
+    def _rebuild(self, parts, other=None):
+        k = self.k
+        if other is not None:
+            if self.is_zero():
+                k = other.k
+            elif not other.is_zero() and other.k != k:
+                raise ValueError("cannot add symbols of different xi-degrees")
+        return SymbolPoly(self.n, k, parts[0])
 
     def __mul__(self, other):
-        """The commutative symbol product."""
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return SymbolPoly(self.n, self.k,
-                              {key: v * c for key, v in self.terms.items()})
+        """The commutative symbol product; a Poly in x is a xi-degree-0 symbol."""
+        if isinstance(other, Poly):
+            other = SymbolPoly.from_poly(other)
         if not isinstance(other, SymbolPoly):
-            return NotImplemented
-        self._check(other)
-        acc = {}
-        for (xs1, ks1), c1 in self.terms.items():
-            for (xs2, ks2), c2 in other.terms.items():
-                key = (mi_add(xs1, xs2), mi_add(ks1, ks2))
-                v = acc.get(key, Fraction(0)) + c1 * c2
-                if v:
-                    acc[key] = v
-                elif key in acc:
-                    del acc[key]
-        return SymbolPoly(self.n, self.k + other.k, acc)
+            return _Linear.__mul__(self, other)
+        return SymbolPoly(self.n, self.k + other.k, self.p * other.p)
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        if not isinstance(other, SymbolPoly):
-            return NotImplemented
-        # zero symbols of different nominal degrees are still equal
-        return self.n == other.n and self.terms == other.terms and (
-            not self.terms or self.k == other.k)
-
-    __hash__ = None
-
     def dx(self, i):
         """d/dx_i."""
-        j = i - 1
-        acc = {}
-        for (xs, ks), c in self.terms.items():
-            e = xs[j]
-            if e:
-                key = (xs[:j] + (e - 1,) + xs[j + 1:], ks)
-                acc[key] = acc.get(key, Fraction(0)) + c * e
-        return SymbolPoly(self.n, self.k, acc)
+        return SymbolPoly(self.n, self.k, self.p.partial(i))
 
     def dxi(self, i):
         """d/dxi_i; lowers the xi-degree by one."""
-        j = i - 1
-        acc = {}
-        for (xs, ks), c in self.terms.items():
-            e = ks[j]
-            if e:
-                key = (xs, ks[:j] + (e - 1,) + ks[j + 1:])
-                acc[key] = acc.get(key, Fraction(0)) + c * e
-        return SymbolPoly(self.n, max(self.k - 1, 0), acc)
+        return SymbolPoly(self.n, max(self.k - 1, 0), self.p.partial(self.n + i))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (xs, ks) in sorted(self.terms,
-                               key=lambda t: (-sum(t[0]) - sum(t[1]),
-                                              tuple(-e for e in t[0] + t[1]))):
-            c = self.terms[(xs, ks)]
-            factors = []
-            for j, e in enumerate(xs):
-                if e:
-                    factors.append("x%d" % (j + 1) + ("^%d" % e if e > 1 else ""))
-            for j, e in enumerate(ks):
-                if e:
-                    factors.append("k%d" % (j + 1) + ("^%d" % e if e > 1 else ""))
-            mag = abs(c)
-            if factors:
-                body = "*".join(factors) if mag == 1 else "%s*%s" % (mag, "*".join(factors))
-            else:
-                body = str(mag)
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+        return format_terms(self.p.terms, var_names("x", self.n) + var_names("k", self.n))
 
     __repr__ = __str__
 
 
 def parse_symbol(text, n):
     """Parse the poly grammar extended with momentum variables k1..kn."""
-    acc = {}
-    for coeff, expos in parse_terms(text, n, ("x", "k")):
-        key = (expos["x"], expos["k"])
-        acc[key] = acc.get(key, Fraction(0)) + coeff
-    degs = {sum(ks) for (_, ks), c in acc.items() if c}
+    terms = parse_terms(text, n, ("x", "k"))
+    p = Poly(2 * n, [(expos["x"] + expos["k"], c) for c, expos in terms])
+    degs = {sum(s[n:]) for s in p.terms}
     if len(degs) > 1:
         raise ParseError("symbol is not homogeneous in the momentum variables", 0)
-    if not degs and any(sum(ks) for _, ks in acc):
+    if not degs and any(sum(expos["k"]) for _, expos in terms):
         raise ParseError("the momentum terms cancel; write 0 for the zero symbol", 0)
-    k = degs.pop() if degs else 0
-    return SymbolPoly(n, k, acc)
+    return SymbolPoly(n, degs.pop() if degs else 0, p)
 
 
 def smbl_scalar(op, k):
     """The order-k symbol sum_{|sigma|=k} a_sigma xi^sigma of a scalar operator."""
     if op.order() > k:
         raise ValueError("operator order %d exceeds %d" % (op.order(), k))
-    acc = {}
-    for sigma, a in op.coeffs.items():
-        if sum(sigma) == k:
-            for mu, c in a.terms.items():
-                acc[(mu, sigma)] = c
-    return SymbolPoly(op.n, k, acc)
+    return SymbolPoly(op.n, k, Poly(2 * op.n, {mu + sigma: c
+                                              for sigma, a in op.coeffs.items()
+                                              if sum(sigma) == k
+                                              for mu, c in a.terms.items()}))
 
 
 def scalar_from_symbol(s):
@@ -244,7 +155,7 @@ def hamiltonian_apply(s, t):
 # diolic symbols
 
 
-class DiolicSymbol0:
+class DiolicSymbol0(_Linear):
     """Pair (s, Ms): scalar xi-degree-k symbol plus matrix of degree k-1."""
 
     __slots__ = ("n", "m", "k", "s", "Ms")
@@ -268,16 +179,11 @@ class DiolicSymbol0:
         self.s = s
         self.Ms = Ms
 
-    def is_zero(self):
-        return self.s.is_zero() and all(e.is_zero() for r in self.Ms for e in r)
+    def _parts(self):
+        return (self.s, self.Ms)
 
-    def __eq__(self, other):
-        if not isinstance(other, DiolicSymbol0):
-            return NotImplemented
-        return self.s == other.s and all(
-            a == b for r1, r2 in zip(self.Ms, other.Ms) for a, b in zip(r1, r2))
-
-    __hash__ = None
+    def _rebuild(self, parts, other=None):
+        return DiolicSymbol0(_sum_order(self, other), *parts)
 
     def __str__(self):
         return "(%s | %s)" % (self.s, "; ".join(
@@ -286,7 +192,7 @@ class DiolicSymbol0:
     __repr__ = __str__
 
 
-class DiolicSymbol1:
+class DiolicSymbol1(_Linear):
     """Column of m scalar symbols of xi-degree k."""
 
     __slots__ = ("n", "m", "k", "comps")
@@ -306,15 +212,11 @@ class DiolicSymbol1:
         self.k = k
         self.comps = comps
 
-    def is_zero(self):
-        return all(c.is_zero() for c in self.comps)
+    def _parts(self):
+        return self.comps
 
-    def __eq__(self, other):
-        if not isinstance(other, DiolicSymbol1):
-            return NotImplemented
-        return all(a == b for a, b in zip(self.comps, other.comps))
-
-    __hash__ = None
+    def _rebuild(self, parts, other=None):
+        return DiolicSymbol1(_sum_order(self, other), parts)
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.comps) + ")"
@@ -322,7 +224,7 @@ class DiolicSymbol1:
     __repr__ = __str__
 
 
-class DiolicSymbolNeg1:
+class DiolicSymbolNeg1(_Linear):
     """Scalar symbol of a degree -1 operator (rank 1 only)."""
 
     __slots__ = ("n", "k", "s")
@@ -332,15 +234,11 @@ class DiolicSymbolNeg1:
         self.k = k
         self.s = s
 
-    def is_zero(self):
-        return self.s.is_zero()
+    def _parts(self):
+        return (self.s,)
 
-    def __eq__(self, other):
-        if not isinstance(other, DiolicSymbolNeg1):
-            return NotImplemented
-        return self.s == other.s
-
-    __hash__ = None
+    def _rebuild(self, parts, other=None):
+        return DiolicSymbolNeg1(_sum_order(self, other), *parts)
 
     def __str__(self):
         return str(self.s)
@@ -387,8 +285,7 @@ def diolic_poisson_bracket(u, v):
             comps.append(c)
         return DiolicSymbol1(max(u.k + v.k - 1, 0), comps)
     if isinstance(u, DiolicSymbol1) and isinstance(v, DiolicSymbol0):
-        w = diolic_poisson_bracket(v, u)
-        return DiolicSymbol1(w.k, [-c for c in w.comps])
+        return -diolic_poisson_bracket(v, u)
     if isinstance(u, DiolicSymbol0) and isinstance(v, DiolicSymbol0):
         s = poisson_bracket(u.s, v.s)
         m = u.m
@@ -408,8 +305,7 @@ def diolic_poisson_bracket(u, v):
         return DiolicSymbolNeg1(max(u.k + v.k - 1, 0),
                                 poisson_bracket(u.s, v.s) - v.s * u.Ms[0][0])
     if isinstance(u, DiolicSymbolNeg1) and isinstance(v, DiolicSymbol0):
-        w = diolic_poisson_bracket(v, u)
-        return DiolicSymbolNeg1(w.k, -w.s)
+        return -diolic_poisson_bracket(v, u)
     if isinstance(u, DiolicSymbol1) and isinstance(v, DiolicSymbol1):
         return 0
     if isinstance(u, DiolicSymbolNeg1) and isinstance(v, DiolicSymbolNeg1):
@@ -440,5 +336,5 @@ def lambda_k(b, args):
         nest_a = ma @ nest_a - nest_a @ ma
         nest_m = nest_m.map(lambda e: ma @ e - e @ ma)
     if nest_a.order() > 1 or nest_m.order() > 0:
-        raise AssertionError("delta nest failed to reduce the order")
+        raise RouteError("delta nest failed to reduce the order")
     return Der0(nest_a.first_order_part(), nest_m.order_zero_polymat())

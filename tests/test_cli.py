@@ -246,6 +246,20 @@ def test_main_in_process():
     assert main(["check", os.path.join(PROBLEMS, "ce_invalid_rep.json")]) == 1
 
 
+def test_route_disagreement_exits_4(monkeypatch):
+    """is_poisson0's commutator route, broken on purpose, disagrees with its
+    PDE route: exit 4 with one error line, no report and no traceback."""
+    import diolic.brackets
+    monkeypatch.setattr(diolic.brackets, "graded_commutator_der", lambda d1, d2: d1)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", os.path.join(PROBLEMS, "poisson_so3.json")])
+    assert code == 4
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: internal route disagreement: ")
+    assert err.getvalue().count("\n") == 1
+
+
 # -- fuzz: one JSON leaf of a valid input replaced by a drawn value ----------
 
 FUZZ_BRACKETS = [

@@ -1,7 +1,7 @@
 import pytest
 
 from diolic.poly import Poly, PolyMat, PolyVec, monomials_up_to
-from diolic.ops import MatrixOp, ScalarOp
+from diolic.ops import MatrixOp, RouteError, ScalarOp
 from diolic.derivations import DiolicElement
 from diolic.diffops import (DiffOp0, DiffOp1, DiffOpNeg1, atiyah_project,
                             atiyah_split, beta_diff, check_k_connection,
@@ -110,11 +110,31 @@ def test_commutator_degree_neg1_cases():
     want = b0.boxA @ bn.op - bn.op @ b0.boxP().entries[0][0]
     assert out.op == want
     assert graded_commutator_diff(bn, b0).op == -want
+    for _ in range(10):
+        n, k, l = r.randint(1, 2), r.randint(1, 3), r.randint(0, 2)
+        b0, bn = rand_diffop0(r, n, 1, k), rand_diffopneg1(r, n, l)
+        want = b0.boxA @ bn.op - bn.op @ b0.boxP().entries[0][0]
+        for out, sign in ((graded_commutator_diff(b0, bn), 1),
+                          (graded_commutator_diff(bn, b0), -1)):
+            assert isinstance(out, DiffOpNeg1)
+            assert out.k == max(k + l - 1, 0)
+            assert out.op == sign * want
     mixed = graded_commutator_diff(b1d, bn)
     assert isinstance(mixed, DiffOp0)
     assert mixed.boxA == bn.op @ b1d.ops[0]
     assert mixed.boxP().entries[0][0] == b1d.ops[0] @ bn.op
     assert graded_commutator_diff(bn, bn) == 0
+
+
+def test_commutator_degree_neg1_is_verified(monkeypatch):
+    """Both orders of (0, -1) check the split formula against compose-and-subtract."""
+    r = rng(31)
+    b0, bn = rand_diffop0(r, 1, 1, 2), rand_diffopneg1(r, 1, 1)
+    shifted = MatrixOp(1, [[b0.boxP().entries[0][0] + ScalarOp.partial(1, 1)]])
+    monkeypatch.setattr(DiffOp0, "boxP", lambda self: shifted)
+    for pair in ((b0, bn), (bn, b0)):
+        with pytest.raises(RouteError, match="DiffOp0/DiffOpNeg1"):
+            graded_commutator_diff(*pair)
 
 
 def _deg(b):

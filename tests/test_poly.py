@@ -5,7 +5,13 @@ import pytest
 
 from diolic.poly import (ParseError, Poly, PolyMat, PolyVec, monomials_up_to,
                          parse_poly)
+from diolic.ops import MatrixOp, ScalarOp, VectorField
+from diolic.derivations import Der0, Der1
+from diolic.diffops import DiffOp0, DiffOp1
+from diolic.symbols import (DiolicSymbol0, DiolicSymbol1, DiolicSymbolNeg1,
+                            smbl_scalar)
 
+import helpers as h
 from helpers import rng, rand_poly
 
 
@@ -136,3 +142,88 @@ def test_polymat_multiplication_associative():
     for _ in range(20):
         a, b, c = (rand_poly_mat(r, 2, 2, 2) for _ in range(3))
         assert (a @ b) @ c == a @ (b @ c)
+
+
+# ---------------------------------------------------------------------------
+# the shared linear structure of every value class
+
+
+def _symbol(r, n, k):
+    return smbl_scalar(h.rand_scalar_op(r, n, k, 2, 3), k)
+
+
+def _values():
+    """{class name: (make(r, n, m), shape change (n, m) -> (n', m'), a value
+    of another class)}.  Der0 + Der1, DerNeg1 + Der0, DiffOp0 + DiffOp1,
+    PolyVec + Poly and PolyMat + PolyVec raised AttributeError before the
+    classes shared one base."""
+    more_m = lambda n, m: (n, m + 1)
+    more_n = lambda n, m: (n + 1, m)
+    return {
+        "PolyVec": (lambda r, n, m: h.rand_poly_vec(r, n, m, 2), more_m,
+                    Poly.one(2)),
+        "PolyMat": (lambda r, n, m: h.rand_poly_mat(r, n, m, 2), more_m,
+                    PolyVec.basis(2, 2, 0)),
+        "VectorField": (lambda r, n, m: h.rand_vector_field(r, n), more_n,
+                        Poly.one(2)),
+        "MatrixOp": (lambda r, n, m: h.rand_matrix_op(r, n, m, 1), more_m,
+                     ScalarOp.identity(2)),
+        "DiolicElement": (lambda r, n, m: h.rand_diolic_element(r, n, m), more_m,
+                          PolyVec.basis(2, 2, 0)),
+        "Der0": (lambda r, n, m: h.rand_der0(r, n, m), more_m, Der1.zero(2, 2)),
+        "Der1": (lambda r, n, m: h.rand_der1(r, n, m), more_m, Der0.zero(2, 2)),
+        "DerNeg1": (lambda r, n, m: h.rand_derneg1(r, n), more_n, Der0.zero(2, 1)),
+        "DiffOp0": (lambda r, n, m: h.rand_diffop0(r, n, m, 2), more_m,
+                    DiffOp1.zero(2, 2)),
+        "DiffOp1": (lambda r, n, m: h.rand_diffop1(r, n, m, 2), more_m,
+                    DiffOp0.zero(2, 2)),
+        "DiffOpNeg1": (lambda r, n, m: h.rand_diffopneg1(r, n, 2), more_n,
+                       DiffOp0.zero(2, 1)),
+        "DiolicSymbol0": (lambda r, n, m: DiolicSymbol0(
+            2, _symbol(r, n, 2), [[_symbol(r, n, 1) for _ in range(m)] for _ in range(m)]),
+            more_m, MatrixOp.zero(2, 2)),
+        "DiolicSymbol1": (lambda r, n, m: DiolicSymbol1(
+            2, [_symbol(r, n, 2) for _ in range(m)]), more_m, VectorField.zero(2)),
+        "DiolicSymbolNeg1": (lambda r, n, m: DiolicSymbolNeg1(2, _symbol(r, n, 2)),
+                             more_n, Poly.one(2)),
+        "SymbolPoly": (lambda r, n, m: _symbol(r, n, 2), more_n, Poly.one(2)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_values()))
+def test_linear_value_contract(name):
+    make, reshape, foreign = _values()[name]
+    r = rng(sum(map(ord, name)))
+    n, m = 2, 2 if name not in ("DerNeg1", "DiffOpNeg1", "DiolicSymbolNeg1") else 1
+    for _ in range(5):
+        x, y = make(r, n, m), make(r, n, m)
+        assert type(x).__name__ == name
+        assert (x - x).is_zero()
+        assert -(-x) == x
+        assert 2 * x == x + x
+        assert Fraction(1, 2) * (x + y) + Fraction(1, 2) * (x - y) == x
+        assert Poly.one(n) * x == x
+        assert x * Poly.var(n, 1) == Poly.var(n, 1) * x
+        assert (x == 0) is False
+        assert (x + y) - y == x
+    other_shape = make(r, *reshape(n, m))
+    with pytest.raises(ValueError):
+        x + other_shape
+    with pytest.raises(ValueError):
+        x - other_shape
+    assert x != other_shape
+    with pytest.raises(TypeError):
+        x + foreign
+    with pytest.raises(TypeError):
+        x - foreign
+
+
+def test_order_tag_is_not_a_linear_part():
+    """k does not enter ==; a sum takes the larger k; -x and 2*x keep it."""
+    r = rng(5)
+    for x in (h.rand_diffop0(r, 2, 2, 1), h.rand_diffop1(r, 2, 2, 1),
+              h.rand_diffopneg1(r, 2, 1)):
+        high = x.embed(3)
+        assert high == x
+        assert (x + high).k == (high - x).k == 3
+        assert (-high).k == (2 * high).k == 3

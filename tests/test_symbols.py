@@ -1,4 +1,9 @@
+import random
+from fractions import Fraction
+
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from diolic.poly import ParseError, Poly, PolyMat, monomials_up_to
 from diolic.ops import MatrixOp, ScalarOp, commutator, verify_order
@@ -292,3 +297,60 @@ def _arg_tuples(n, length, deg):
     import itertools
     monos = monomials_up_to(n, deg)
     return itertools.product(monos, repeat=length)
+
+
+# -- the symbol kernel: properties and a differential test against sympy ----
+
+
+@st.composite
+def symbols(draw, n, k):
+    """A xi-degree-k symbol in n variables with up to three terms."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        xs = tuple(draw(st.integers(0, 2)) for _ in range(n))
+        ks = [0] * n
+        for _ in range(k):
+            ks[draw(st.integers(0, n - 1))] += 1
+        terms[xs + tuple(ks)] = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    return SymbolPoly(n, k, Poly(2 * n, terms))
+
+
+@st.composite
+def symbol_triples(draw):
+    n = draw(st.integers(1, 3))
+    return n, [draw(symbols(n, draw(st.integers(0, 2)))) for _ in range(3)]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(symbol_triples())
+def test_symbol_print_parse_bracket_properties(triple):
+    n, (s, t, u) = triple
+    assert parse_symbol(str(s), n) == s
+    assert poisson_bracket(s, t) == -poisson_bracket(t, s)
+    assert poisson_bracket(s, star(t, u)) == \
+        star(poisson_bracket(s, t), u) + star(t, poisson_bracket(s, u))
+
+
+def _sympy_symbol(s, xs, ks):
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*[x ** e for x, e in zip(xs, ex)])
+                * sympy.Mul(*[k ** e for k, e in zip(ks, ek)])
+                for (ex, ek), c in s.terms.items()), sympy.Integer(0))
+
+
+def test_poisson_bracket_and_star_match_sympy():
+    r = random.Random(41)
+    nonzero = 0
+    for _ in range(20):
+        n = r.randint(1, 3)
+        xs = sympy.symbols(" ".join("x%d" % (i + 1) for i in range(n)), seq=True)
+        ks = sympy.symbols(" ".join("k%d" % (i + 1) for i in range(n)), seq=True)
+        s, t = (smbl_scalar(rand_scalar_op(r, n, k, 2, 3), k)
+                for k in (r.randint(0, 2), r.randint(0, 2)))
+        nonzero += not (s.is_zero() or t.is_zero())
+        fs, ft = _sympy_symbol(s, xs, ks), _sympy_symbol(t, xs, ks)
+        pb = sum((sympy.diff(fs, k) * sympy.diff(ft, x) - sympy.diff(fs, x) * sympy.diff(ft, k)
+                  for x, k in zip(xs, ks)), sympy.Integer(0))
+        assert sympy.expand(_sympy_symbol(poisson_bracket(s, t), xs, ks) - pb) == 0
+        assert sympy.expand(_sympy_symbol(star(s, t), xs, ks) - fs * ft) == 0
+    assert nonzero >= 10
