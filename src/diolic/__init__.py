@@ -33,6 +33,6 @@ from .brackets import (BiDer0, BiDer1, BiDerNeg1, BiDerNeg2, JacobiNeg1,
                        is_jacobi0, is_jacobi_neg1, is_lie_algebroid,
                        is_poisson0, jacobi_from_poisson, jacobiator0,
                        schouten_probe_suite, schouten_self_eval)
-from .complexes import (CEData, FatForm, ResourceCapError, ce_cohomology,
+from .complexes import (CEData, ResourceCapError, ce_cohomology,
                         ce_differential, der_cohomology_truncated,
                         der_differential, diolic_lie_check, rank)

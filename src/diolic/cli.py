@@ -578,6 +578,18 @@ def _parse_caps(spec):
     return caps
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that reads an argument beginning with a single '-' as a
+    value unless it is one of its options, so that a bracket spec such as
+    "-x1*k1" needs no '--' in front of it."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[:2] != "--" \
+                and arg_string not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="diolic",
@@ -588,7 +600,7 @@ def build_parser():
                          "(breaks byte-for-byte determinism)")
     ap.add_argument("--max-dim", default=None, metavar="SPEC",
                     help="override size caps, e.g. n=5,m=4,k=5,D=8")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("check", help="run the checker named by the problem file")
     p.add_argument("path")

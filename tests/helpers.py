@@ -6,6 +6,7 @@ identity checks exactly while keeping the exact-arithmetic suites fast.
 """
 
 from fractions import Fraction
+import itertools
 import random
 
 from diolic.poly import Poly, PolyMat, PolyVec, monomials_up_to
@@ -13,7 +14,6 @@ from diolic.ops import MatrixOp, ScalarOp, VectorField
 from diolic.derivations import Der0, Der1, DerNeg1, DiolicElement
 from diolic.diffops import DiffOp0, DiffOp1, DiffOpNeg1
 from diolic.brackets import BiDer0
-from diolic.complexes import FatForm
 
 
 def rng(seed):
@@ -107,11 +107,17 @@ def rand_bider0(r, n, m, deg=2):
     return BiDer0(aa, [rand_poly_mat(r, n, m, deg) for _ in range(n)])
 
 
-def rand_fatform(r, n, m, k, deg=2):
-    size = n + m * m
-    import itertools
-    coeffs = {}
-    for idx in itertools.combinations(range(size), k):
+def rand_cochain(r, l, p):
+    """A sparse random p-cochain of the CE data l: {increasing p-tuple: vector}."""
+    tau = {}
+    for idx in itertools.combinations(range(l.r), p):
         if r.random() < 0.6:
-            coeffs[idx] = rand_poly_vec(r, n, m, deg)
-    return FatForm(n, m, k, coeffs)
+            tau[idx] = [rand_fraction(r) if r.random() < 0.3 else Fraction(0)
+                        for _ in range(l.d1)]
+    return tau
+
+
+def der_vector(v, maxdeg):
+    """The coefficient vector of a PolyVec in the basis of der_differential."""
+    monos = monomials_up_to(v.n, maxdeg)
+    return [comp.terms.get(mu, Fraction(0)) for comp in v.comps for mu in monos]

@@ -24,13 +24,13 @@ from diolic.brackets import (BiDer0, JacobiNeg1, JacobiOp0, is_jacobi0,
                              is_jacobi_neg1, is_lie_algebroid, is_poisson0,
                              jacobi_from_poisson, schouten_probe_suite)
 from diolic.complexes import (CEData, ce_cochain_dimensions, ce_cohomology,
-                              der_cochain_dimensions, der_cohomology_truncated,
-                              der_differential)
+                              ce_differential, der_cochain_dimensions,
+                              der_cohomology_truncated, der_differential)
 from diolic.cli import DEFAULT_CAPS, canonical_problem_json
 
-from helpers import (rng, rand_bider0, rand_der0, rand_der1, rand_derneg1,
-                     rand_diffop0, rand_diffop1, rand_diffopneg1,
-                     rand_fatform, rand_scalar_op)
+from helpers import (rng, rand_bider0, rand_cochain, rand_der0, rand_der1,
+                     rand_derneg1, rand_diffop0, rand_diffop1, rand_diffopneg1,
+                     rand_scalar_op)
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
@@ -289,8 +289,10 @@ def test_criterion_08_complexes():
     with Budget("C8 complexes", 30):
         for _ in range(100):
             n, m = r.randint(1, 2), r.randint(1, 2)
-            w = rand_fatform(r, n, m, r.randint(0, 2), deg=2)
-            assert der_differential(der_differential(w)).is_zero()
+            k = r.randint(0, 2)
+            l = der_differential(n, m, 2)
+            w = rand_cochain(r, l, k)
+            assert ce_differential(l, k + 1, ce_differential(l, k, w)) == {}
         assert der_cohomology_truncated(1, 1, 3) == [0, 0, 0]
         c_sl2 = [[[0, 0, 0], [0, 2, 0], [0, 0, -2]],
                  [[0, -2, 0], [0, 0, 0], [1, 0, 0]],
@@ -379,3 +381,13 @@ def test_criterion_10_cli_determinism():
                 data = json.load(fh)
             canon = canonical_problem_json(data, caps)
             assert canonical_problem_json(canon, caps) == canon, name
+        # one bracket and two cohomology invocations, byte for byte
+        der0 = [json.dumps({"X": ["x1", "1"], "G": [["x2", "0"], ["1", "x1"]]}),
+                json.dumps({"X": ["x2^2", "x1"], "G": [["0", "x1*x2"], ["1", "0"]]})]
+        for args in (["bracket", "--kind", "der0"] + der0,
+                     ["cohomology", "--der", "2", "2", "1"],
+                     ["cohomology", "--ce", os.path.join(PROBLEMS, "ce_sl2_adjoint.json")]):
+            runs = [subprocess.run([sys.executable, "-m", "diolic"] + args,
+                                   capture_output=True, text=True) for _ in range(2)]
+            assert runs[0].returncode == runs[1].returncode == 0, args
+            assert runs[0].stdout and runs[0].stdout == runs[1].stdout, args

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -89,6 +90,12 @@ def test_bracket_symbol_example():
     code, out, _ = run_cli("bracket", "--kind", "symbol", "k1", "x1*k1")
     assert code == 0
     assert json.loads(out)["value"] == "k1"
+
+
+def test_bracket_spec_with_leading_minus():
+    dashed = run_cli("bracket", "--kind", "symbol", "-x1*k1", "k1")
+    assert dashed == run_cli("bracket", "--kind", "symbol", "--", "-x1*k1", "k1")
+    assert dashed[0] == 0 and json.loads(dashed[1])["value"] == "k1"
 
 
 def test_bracket_der0_example():
@@ -215,6 +222,27 @@ def test_cohomology_der():
 def test_cohomology_der_cap():
     code, _, err = run_cli("cohomology", "--der", "3", "3", "6")
     assert code == 3
+
+
+def abelian_trivial_ce(tmp_path, dim):
+    zero = [[["0"] * dim for _ in range(dim)] for _ in range(dim)]
+    path = tmp_path / ("abelian%d.json" % dim)
+    path.write_text(json.dumps({"kind": "ce", "dim": dim, "rep_dim": 1, "c": zero,
+                                "rho": [[["0"]]] * dim}))
+    return str(path)
+
+
+def test_cohomology_ce_cap(tmp_path):
+    # C(20, 10) = 184,756 cochains is over the cap shared with --der
+    code, out, err = run_cli("cohomology", "--ce", abelian_trivial_ce(tmp_path, 20))
+    assert code == 3 and out == ""
+    assert err.startswith("resource cap: ")
+
+
+def test_cohomology_ce_abelian_12(tmp_path):
+    code, out, _ = run_cli("cohomology", "--ce", abelian_trivial_ce(tmp_path, 12))
+    assert code == 0
+    assert json.loads(out)["betti"] == [math.comb(12, p) for p in range(13)]
 
 
 def test_cohomology_rejects_invalid_ce():
