@@ -37,7 +37,7 @@ from .brackets import (BiDer0, BiDerNeg1, JacobiNeg1, JacobiOp0,
                        is_jacobi0, is_lie_algebroid, is_poisson0,
                        jacobi_neg1_residuals, schouten_self_eval)
 from .complexes import (CEData, ResourceCapError, ce_cochain_dimensions,
-                        ce_cohomology, der_cochain_dimensions,
+                        ce_cohomology, check_cap, der_cochain_dimensions,
                         der_cohomology_truncated, diolic_lie_check,
                         diolic_lie_residuals)
 
@@ -541,9 +541,12 @@ def cmd_cohomology(ce_path, der_args, caps):
         kind, l = parse_problem(_load(ce_path), caps)
         if kind != "ce":
             raise InputError("cohomology --ce expects a ce problem file")
+        # the cap first: the validity check costs r^2 d1^3 products
+        dims = ce_cochain_dimensions(l)
+        check_cap(dims)
         if not diolic_lie_check(l):
             raise InputError("structure constants / representation are invalid")
-        betti, dims = ce_cohomology(l), ce_cochain_dimensions(l)
+        betti = ce_cohomology(l)
     else:
         n, m, maxdeg = der_args
         if n < 1 or m < 1 or maxdeg < 0:

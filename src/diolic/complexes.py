@@ -78,7 +78,8 @@ def rank(rows):
     return len(pivots)
 
 
-def _check_cap(dims):
+def check_cap(dims):
+    """Raise ResourceCapError if a cochain space is larger than MAX_COCHAIN_DIM."""
     if max(dims) > MAX_COCHAIN_DIM:
         raise ResourceCapError("cochain dimension %d exceeds cap %d"
                                % (max(dims), MAX_COCHAIN_DIM))
@@ -221,7 +222,7 @@ def ce_cohomology(l):
     larger than MAX_COCHAIN_DIM.
     """
     dims = ce_cochain_dimensions(l)
-    _check_cap(dims)
+    check_cap(dims)
     r, d1 = l.r, l.d1
     ranks = []
     for p in range(r):
@@ -289,5 +290,5 @@ def der_cohomology_truncated(n, m, maxdeg):
     """
     if n < 1 or m < 1 or maxdeg < 0:
         raise ValueError("need n, m >= 1 and maxdeg >= 0")
-    _check_cap(der_cochain_dimensions(n, m, maxdeg))
+    check_cap(der_cochain_dimensions(n, m, maxdeg))
     return ce_cohomology(der_differential(n, m, maxdeg))

@@ -224,17 +224,22 @@ def test_cohomology_der_cap():
     assert code == 3
 
 
-def abelian_trivial_ce(tmp_path, dim):
+def abelian_trivial_ce(tmp_path, dim, rep_dim=1):
+    """An abelian Lie algebra acting by zero on Q^rep_dim, as a ce file."""
     zero = [[["0"] * dim for _ in range(dim)] for _ in range(dim)]
-    path = tmp_path / ("abelian%d.json" % dim)
-    path.write_text(json.dumps({"kind": "ce", "dim": dim, "rep_dim": 1, "c": zero,
-                                "rho": [[["0"]]] * dim}))
+    rho = [[["0"] * rep_dim for _ in range(rep_dim)]] * dim
+    path = tmp_path / ("abelian%d_%d.json" % (dim, rep_dim))
+    path.write_text(json.dumps({"kind": "ce", "dim": dim, "rep_dim": rep_dim,
+                                "c": zero, "rho": rho}))
     return str(path)
 
 
-def test_cohomology_ce_cap(tmp_path):
-    # C(20, 10) = 184,756 cochains is over the cap shared with --der
-    code, out, err = run_cli("cohomology", "--ce", abelian_trivial_ce(tmp_path, 20))
+# over the cap shared with --der: C(20, 10) = 184,756 and
+# C(12, 6) * 30 = 27,720 cochains; the second is refused before its
+# validity check, whose work grows with rep_dim^3
+@pytest.mark.parametrize("dim, rep_dim", [(20, 1), (12, 30)])
+def test_cohomology_ce_cap(tmp_path, dim, rep_dim):
+    code, out, err = run_cli("cohomology", "--ce", abelian_trivial_ce(tmp_path, dim, rep_dim))
     assert code == 3 and out == ""
     assert err.startswith("resource cap: ")
 
