@@ -29,10 +29,9 @@ from .symbols import (DiolicSymbol0, DiolicSymbol1, DiolicSymbolNeg1,
                       lambda_k, parse_symbol, poisson_bracket,
                       scalar_from_symbol, smbl_scalar, star)
 from .brackets import (BiDer0, BiDer1, BiDerNeg1, BiDerNeg2, JacobiNeg1,
-                       JacobiOp0, bider0_eval, bider_neg2_eval,
-                       is_jacobi0, is_jacobi_neg1, is_lie_algebroid,
-                       is_poisson0, jacobi_from_poisson, jacobiator0,
-                       schouten_probe_suite, schouten_self_eval)
+                       JacobiOp0, is_jacobi0, is_jacobi_neg1,
+                       is_lie_algebroid, is_poisson0, jacobi_from_poisson,
+                       jacobiator0, schouten_probe_suite, schouten_self_eval)
 from .complexes import (CEData, ResourceCapError, ce_cohomology,
                         ce_differential, der_cohomology_truncated,
                         der_differential, diolic_lie_check, rank)

@@ -14,13 +14,27 @@ biderivation Pi the rules unfold to the closed form
 
 with Jac_Pi the graded Jacobiator of `jacobiator0`; the value vanishes
 for degree reasons once two arguments lie in P.  The code evaluates the
-closed form.  Since [[Pi, Pi]](z1, z2, -) is a derivation of the algebra,
-the probe suite builds it once per pair (z1, z2) from its values on the
-generators x_i and e_alpha and applies it to every third argument.
+closed form.
 
-Checker outputs pair a verdict with a deterministic list of named
-nonzero residuals, and every PDE verdict is cross-checked against an
-independently computed commutator (compose-and-subtract) form.
+Every checker decides its identity on a finite argument set that makes
+the verdict exact, using three facts:
+
+  * a multi-differential operator of order <= k in one slot vanishes iff
+    it kills the monomials of degree <= k in that slot: its coefficient
+    of d^sigma is read off triangularly from the values on x^mu with
+    |mu| <= k (the rule of `ops.py`), and the other slots follow one at
+    a time;
+  * an alternating trilinear form vanishes iff it vanishes on the
+    triples s_a, s_b, s_c with a < b < c of a spanning set; a form that
+    is alternating in two slots needs the pairs a < b there;
+  * a multiderivation is fixed by its values on the generators x_i of A
+    and e_alpha of P, by the Leibniz rule in each slot.
+
+The enumerating probe loops that these sets replace are kept in the
+tests as oracles.  Checker outputs pair a verdict with a deterministic
+list of named nonzero residuals, and the Poisson and algebroid verdicts
+are cross-checked against an independently computed derivation
+commutator.
 """
 
 from __future__ import annotations
@@ -266,15 +280,6 @@ class BiDerNeg2:
         return self.g * p.comps[0] * q.comps[0]
 
 
-def bider_neg2_eval(b, p, q):
-    return b.eval(p, q)
-
-
-def bider0_eval(pi, a, z):
-    """Pi(a, z) for a in A and z a Poly or PolyVec."""
-    return pi.eval(a, z)
-
-
 # ---------------------------------------------------------------------------
 # the Jacobiator and the Schouten square
 
@@ -330,11 +335,57 @@ def _last_slot_derivation(pi, z1, z2):
     return Der1([VectorField(n, [v.comps[alpha] for v in xs]) for alpha in range(m)])
 
 
+def _leibniz_terms(z, n):
+    """The pairs (k, c) with D(z) = sum c D(g_k) for every derivation D,
+    where g = (x_1..x_n, e_1..e_m): c = d_i z at x_i, and at e_alpha the
+    coefficient z^alpha when z lies in P.  Zero coefficients are dropped."""
+    terms = [(i, z.partial(i + 1)) for i in range(n)]
+    if isinstance(z, PolyVec):
+        terms += [(n + alpha, c) for alpha, c in enumerate(z.comps)]
+    return [(k, c) for k, c in terms if not c.is_zero()]
+
+
 def schouten_probe_suite(pi, degree=2):
     """Nonzero values of [[Pi,Pi]] on all monomial triples of degree
     <= degree with at most one slot in P; returns [(label, DiolicElement)].
+
+    [[Pi, Pi]] is a multiderivation, so [[Pi, Pi]](z1, z2, -) is the sum
+    of c1 c2 [[Pi, Pi]](g_k, g_l, -) over the Leibniz terms (k, c1) of z1
+    and (l, c2) of z2.  The derivations on the generator pairs (g_k, g_l)
+    with at most one g in P form a table, built once per call from 2 Jac_Pi
+    on generator triples with k < l; [[Pi, Pi]] is skew in two slots that
+    hold at most one P argument, which gives (g_l, g_k) and kills (g_k, g_k).
+    Each argument pair is expanded from the table and its derivation is
+    applied to every third argument.  A coefficient q in P (from d_i of a
+    P argument) times the Der0 of (x_i, x_j) is the Der1 b -> q X(b); times
+    a Der1 it lands in P*P = 0.  A zero table gives no values at all.
     """
     n, m = pi.n, pi.m
+    gens = [Poly.var(n, i + 1) for i in range(n)] + \
+        [PolyVec.basis(n, m, j) for j in range(m)]
+    table = {}
+    for k, l in itertools.combinations(range(n + m), 2):
+        if k < n:
+            table[(k, l)] = _last_slot_derivation(pi, gens[k], gens[l])
+            table[(l, k)] = -table[(k, l)]
+    if all(d.is_zero() for d in table.values()):
+        return []
+
+    def last_slot(z1, z2):
+        out = Der0.zero(n, m) if isinstance(z1, Poly) and isinstance(z2, Poly) \
+            else Der1.zero(n, m)
+        for k, c1 in _leibniz_terms(z1, n):
+            for l, c2 in _leibniz_terms(z2, n):
+                d = table.get((k, l))
+                if d is None:
+                    continue
+                c = c1 * c2
+                if isinstance(c, Poly):
+                    out = out + c * d
+                elif isinstance(d, Der0):
+                    out = out + Der1([a * d.X for a in c.comps])
+        return out
+
     monos = [Poly.monomial(n, s) for s in monomials_up_to(n, degree)]
     a_elems = [(str(a), a) for a in monos]
     p_elems = [("%s*e%d" % (a, j + 1), a * PolyVec.basis(n, m, j))
@@ -345,7 +396,9 @@ def schouten_probe_suite(pi, degree=2):
     for s1, s2, s3 in patterns:
         for l1, z1 in s1:
             for l2, z2 in s2:
-                der = _last_slot_derivation(pi, z1, z2)
+                der = last_slot(z1, z2)
+                if der.is_zero():
+                    continue
                 for l3, z3 in s3:
                     val = der(z3)
                     if not val.is_zero():
@@ -449,7 +502,7 @@ class JacobiOp0(_Bracket0):
 
     __slots__ = ("n", "m", "caa", "dmap")
 
-    def __init__(self, n, m, caa, dmap, probe_degree=2):
+    def __init__(self, n, m, caa, dmap):
         dmap = {tuple(s): op for s, op in dmap.items()}
         for s, op in dmap.items():
             if len(s) != n or sum(s) > 1:
@@ -462,16 +515,26 @@ class JacobiOp0(_Bracket0):
         self.m = m
         self.caa = _skew_table(n, caa)
         self.dmap = {k: v for k, v in dmap.items() if not v.is_zero()}
-        self._validate(probe_degree)
+        self._validate()
 
-    def _validate(self, probe_degree):
+    def _validate(self):
+        """Check F(a, b, p) = Pi(a, bp) - b Pi(a, p) - S(a, b) p = 0 with
+        S(a, b) = Pi(a, b) - b Pi(a, 1), on a, b of degree <= 1 and p = e_j.
+
+        This is exact.  Every term of F is first order in a, and F is
+        first order in b (D_sigma and Pi(a, -) on A have order <= 1), so
+        F(-, -, e_j) vanishes iff it kills the monomials of degree <= 1 in
+        a and in b.  Then Pi(a, g e_j) = g Pi(a, e_j) + S(a, g) e_j for all
+        g, and S(a, -) is a derivation (a first-order operator that kills
+        1), so F(a, b, f e_j) = (S(a, bf) - b S(a, f) - f S(a, b)) e_j = 0:
+        F vanishes on all of P.  That is (n+1)^2 m evaluations.
+        """
         n, m = self.n, self.m
         one = Poly.one(n)
-        for sa in monomials_up_to(n, probe_degree):
-            a = Poly.monomial(n, sa)
+        monos = [Poly.monomial(n, s) for s in monomials_up_to(n, 1)]
+        for a in monos:
             pa1 = self.eval_aa(a, one)
-            for sb in monomials_up_to(n, probe_degree):
-                b = Poly.monomial(n, sb)
+            for b in monos:
                 scalar = self.eval_aa(a, b) - b * pa1
                 for j in range(m):
                     p = PolyVec.basis(n, m, j)
@@ -501,44 +564,64 @@ class JacobiOp0(_Bracket0):
         return out
 
 
-def is_jacobi0(b, probe_degree=3):
+def _jacobiator_triples(bracket, elems):
+    """Named nonzero cyclic Jacobiators [[u, v], w] + [[v, w], u] + [[w, u], v]
+    of a skew bracket on the triples u < v < w of elems, a list of
+    (label, element) pairs."""
+    table = [[bracket(u, v) for _, v in elems] for _, u in elems]
+    out = []
+    for i, j, k in itertools.combinations(range(len(elems)), 3):
+        (lu, u), (lv, v), (lw, w) = elems[i], elems[j], elems[k]
+        jac = bracket(table[i][j], w) + bracket(table[j][k], u) + bracket(table[k][i], v)
+        if not jac.is_zero():
+            out.append(("jacobiator(%s; %s; %s)" % (lu, lv, lw), jac))
+    return out
+
+
+def _order2_probes(n):
+    """The monomials of degree <= 2, C(n+2, 2) of them, labelled by their text."""
+    return [(str(a), a) for a in
+            (Poly.monomial(n, s) for s in monomials_up_to(n, 2))]
+
+
+def is_jacobi0(b):
     """Exact degree-0 Jacobi test; returns (verdict, named residuals).
 
-    The Jacobiator is evaluated on all monomial triples of degree up to
-    probe_degree per slot with at most one slot in P, and the first-order
-    compatibility PDE
-    Pi(Pi(a,b), p) - Pi(a, Pi(b,p)) + Pi(b, Pi(a,p)) = 0 is evaluated on
-    coordinate pairs against basis sections.
+    Write J(z1, z2, z3) = Pi(Pi(z1,z2),z3) - Pi(z1,Pi(z2,z3)) + Pi(z2,Pi(z1,z3)).
+    Pi is skew and first order in each slot, so J is alternating in its
+    A slots and has order <= 2 in each slot (a first-order operator
+    composed with one).  The residuals come in three families:
+
+      * the A-part: J on the monomial triples a1 < a2 < a3 of degree <= 2,
+        C(N, 3) of them with N = C(n+2, 2); this decides J on A^3;
+      * the P-part: J(a1, a2, e_j) on the pairs a1 < a2 of degree <= 2,
+        reported with the P argument in each of the three slots, where
+        unfolding the evaluation rules gives the same value up to sign;
+      * jacobi_pde[i,j](e_k) = J(x_i, x_j, e_k), the first-order
+        compatibility PDE on coordinate pairs.
+
+    Constant sections suffice for the P-part.  With S(a, b) = Pi(a, b) -
+    b Pi(a, 1), the construction identity Pi(a, bp) = b Pi(a, p) + S(a, b) p
+    of JacobiOp0 unfolds to J(a1, a2, bp) = b J(a1, a2, p) +
+    (J(a1, a2, b) - b J(a1, a2, 1)) p.  Once the A-part vanishes, J(a1, a2, -)
+    is A-linear on P and fixed by its values on e_1..e_m; while it does
+    not, the verdict is fail either way.
     """
     n, m = b.n, b.m
-    residuals = []
-    monos = [Poly.monomial(n, s) for s in monomials_up_to(n, probe_degree)]
-    sections = [(p, "e%d" % (j + 1)) for j in range(m)
-                for p in [PolyVec.basis(n, m, j)]]
-
-    # pair tables keep the triple suites from recomputing inner brackets
-    nmono = len(monos)
-    aa = [[b.eval_aa(monos[i], monos[j]) for j in range(nmono)]
-          for i in range(nmono)]
-    ap = [[b.eval_ap(monos[i], p) for p, _ in sections] for i in range(nmono)]
-
-    for i1, a1 in enumerate(monos):
-        for i2, a2 in enumerate(monos):
-            a12 = aa[i1][i2]
-            for i3, a3 in enumerate(monos):
-                v = b.eval_aa(a12, a3) - b.eval_aa(a1, aa[i2][i3]) \
-                    + b.eval_aa(a2, aa[i1][i3])
-                if not v.is_zero():
-                    residuals.append(("jacobiator(%s; %s; %s)" % (a1, a2, a3), v))
-            for jp, (p, lbl) in enumerate(sections):
-                v = b.eval_ap(a12, p) - b.eval_ap(a1, ap[i2][jp]) \
-                    + b.eval_ap(a2, ap[i1][jp])
-                if not v.is_zero():
-                    # unfolding the evaluation rules shows the same value,
-                    # up to sign, for the P argument in any slot
-                    residuals.append(("jacobiator(%s; %s; %s)" % (a1, a2, lbl), v))
-                    residuals.append(("jacobiator(%s; %s; %s)" % (a1, lbl, a2), -v))
-                    residuals.append(("jacobiator(%s; %s; %s)" % (lbl, a1, a2), v))
+    monos = _order2_probes(n)
+    residuals = _jacobiator_triples(b.eval_aa, monos)
+    sections = [(PolyVec.basis(n, m, j), "e%d" % (j + 1)) for j in range(m)]
+    ap = [[b.eval_ap(a, p) for p, _ in sections] for _, a in monos]
+    for i1, i2 in itertools.combinations(range(len(monos)), 2):
+        (l1, a1), (l2, a2) = monos[i1], monos[i2]
+        a12 = b.eval_aa(a1, a2)
+        for jp, (p, lbl) in enumerate(sections):
+            v = b.eval_ap(a12, p) - b.eval_ap(a1, ap[i2][jp]) \
+                + b.eval_ap(a2, ap[i1][jp])
+            if not v.is_zero():
+                residuals.append(("jacobiator(%s; %s; %s)" % (l1, l2, lbl), v))
+                residuals.append(("jacobiator(%s; %s; %s)" % (l1, lbl, l2), -v))
+                residuals.append(("jacobiator(%s; %s; %s)" % (lbl, l1, l2), v))
 
     x = [Poly.var(n, i + 1) for i in range(n)]
     for i, j in itertools.combinations(range(n), 2):
@@ -567,26 +650,18 @@ class JacobiNeg1:
     eval = JacobiOp0.eval_aa
 
 
-def jacobi_neg1_residuals(j, probe_degree=3):
-    """Nonzero Jacobiators of the rank-1 bracket on monomial triples."""
-    n = j.n
-    out = []
-    monos = [Poly.monomial(n, s) for s in monomials_up_to(n, probe_degree)]
-    for f in monos:
-        for g in monos:
-            jfg = j.eval(f, g)
-            for h in monos:
-                v = (j.eval(jfg, h) + j.eval(j.eval(g, h), f)
-                     + j.eval(j.eval(h, f), g))
-                if not v.is_zero():
-                    out.append(("jacobiator(%s; %s; %s)" % (f, g, h), v))
-    return out
+def jacobi_neg1_residuals(j):
+    """Nonzero Jacobiators of the rank-1 bracket on the monomial triples
+    f < g < h of degree <= 2.  The bracket is skew and first order in each
+    slot, so its Jacobiator is alternating and of order <= 2 in each slot;
+    these C(N, 3) triples, N = C(n+2, 2), decide it."""
+    return _jacobiator_triples(j.eval, _order2_probes(j.n))
 
 
-def is_jacobi_neg1(j, probe_degree=3):
-    """True iff the rank-1 bracket satisfies the Jacobi identity on all
-    monomial triples of degree <= probe_degree (skewness is structural)."""
-    return not jacobi_neg1_residuals(j, probe_degree)
+def is_jacobi_neg1(j):
+    """True iff the rank-1 bracket satisfies the Jacobi identity (skewness
+    is structural); decided by `jacobi_neg1_residuals`."""
+    return not jacobi_neg1_residuals(j)
 
 
 def jacobi_from_poisson(pi):
@@ -627,14 +702,42 @@ def jacobiator_neg1_graded(l, z1, z2, z3):
     return out + term if sgn > 0 else out - term
 
 
-def is_lie_algebroid(l, coeff_degree=2):
+def _adjoint_curvature(l, alpha, beta):
+    """[D_alpha, D_beta] - ad_[e_alpha, e_beta] through the derivation
+    commutator, where D_alpha = der0_of(e_alpha) = ad_e_alpha.
+
+    ad_p = [p, -] is the Der0 (rho_p, sum_a p^a C_a - M_p) with
+    M_p[gamma][beta] = rho_beta(p^gamma): the correction to der0_of(p) is
+    needed because ad_p is not A-linear in p.  The X part of the result
+    is minus the anchor defect on (e_alpha, e_beta), and its G part sends
+    e_gamma to minus the Jacobiator on (e_alpha, e_beta, e_gamma).
+    """
+    n, m = l.n, l.m
+    c = PolyVec(n, [l.c[alpha].rows[g][beta] for g in range(m)])
+    correction = PolyMat(n, [[l.rho[b](c.comps[g]) for b in range(m)] for g in range(m)])
+    ad_c = l.der0_of(c) - Der0(VectorField.zero(n), correction)
+    basis = [l.der0_of(PolyVec.basis(n, m, a)) for a in (alpha, beta)]
+    return graded_commutator_der(*basis) - ad_c
+
+
+def is_lie_algebroid(l):
     """Exact algebroid test; returns (verdict, named residuals).
 
-    Checks the Jacobi identity for the induced bracket on sections with
-    monomial coefficients of degree <= coeff_degree, and that the anchor
-    intertwines the bracket with the vector-field commutator on basis
-    pairs.  A-linearity of the anchor and the Leibniz rule hold by
-    construction of the representation.
+    A-linearity of the anchor and the Leibniz rule
+    [p, fq] = f[p, q] + rho_p(f) q hold by construction of the data, so:
+
+      * the anchor defect rho[p, q] - [rho p, rho q] is A-bilinear, and the
+        basis pairs e_alpha < e_beta decide it (anchor[alpha,beta].Xi);
+      * the Jacobiator satisfies Jac(p, q, fr) = f Jac(p, q, r) +
+        (rho[p, q] - [rho p, rho q])(f) r and is alternating, so once the
+        anchor defect vanishes it is A-trilinear and the C(m, 3) basis
+        triples e_alpha < e_beta < e_gamma decide it; for m < 3 nothing is
+        left to check.  While the anchor defect does not vanish the
+        verdict is fail either way.
+
+    The second route checks [D_alpha, D_beta] = ad_[e_alpha, e_beta] on
+    the basis pairs through `graded_commutator_der`
+    (see `_adjoint_curvature`); its verdict must agree.
     """
     n, m = l.n, l.m
     residuals = []
@@ -649,19 +752,12 @@ def is_lie_algebroid(l, coeff_degree=2):
                 if not cmp_.is_zero():
                     residuals.append(("anchor[%d,%d].X%d" % (alpha + 1, beta + 1, i + 1), cmp_))
 
-    monos = [Poly.monomial(n, s) for s in monomials_up_to(n, coeff_degree)]
-    sections = []
-    for f in monos:
-        for alpha in range(m):
-            sections.append((f * PolyVec.basis(n, m, alpha),
-                             "%s*e%d" % (f, alpha + 1)))
-    for (p, lp) in sections:
-        for (q, lq) in sections:
-            pq = l.bracket(p, q)
-            for (r, lr) in sections:
-                jac = (l.bracket(pq, r) + l.bracket(l.bracket(q, r), p)
-                       + l.bracket(l.bracket(r, p), q))
-                if not jac.is_zero():
-                    residuals.append(("jacobiator(%s; %s; %s)" % (lp, lq, lr), jac))
+    residuals += _jacobiator_triples(
+        l.bracket, [("1*e%d" % (a + 1), PolyVec.basis(n, m, a)) for a in range(m)])
 
-    return not residuals, residuals
+    ok = not residuals
+    route_ok = all(_adjoint_curvature(l, alpha, beta).is_zero()
+                   for alpha, beta in itertools.combinations(range(m), 2))
+    if ok != route_ok:
+        raise RouteError("algebroid residuals disagree with the derivation commutator")
+    return ok, residuals

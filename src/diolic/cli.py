@@ -320,6 +320,12 @@ def _all_zero(residuals):
     return not residuals, residuals
 
 
+def _check_ce(l):
+    # the cochain cap of `cohomology --ce` also bounds the validity check
+    check_cap(ce_cochain_dimensions(l))
+    return _all_zero(diolic_lie_residuals(l))
+
+
 # kind: (payload keys, reader(data, n, m, caps), canonical writer(obj),
 #        checker(obj) -> (ok, residuals)); the checkers look the engine up at
 #        call time, so that the wrappers of perfbench/spans.py see the calls
@@ -337,8 +343,7 @@ KINDS = {
                       _check_diffop),
     "k_connection": (("n", "m", "k", "nabla"), _read_k_connection, _k_connection_json,
                      _check_k_connection),
-    "ce": (("dim", "c", "rep_dim", "rho"), _read_ce, _ce_json,
-           lambda l: _all_zero(diolic_lie_residuals(l))),
+    "ce": (("dim", "c", "rep_dim", "rho"), _read_ce, _ce_json, _check_ce),
 }
 
 

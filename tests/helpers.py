@@ -13,7 +13,7 @@ from diolic.poly import Poly, PolyMat, PolyVec, monomials_up_to
 from diolic.ops import MatrixOp, ScalarOp, VectorField
 from diolic.derivations import Der0, Der1, DerNeg1, DiolicElement
 from diolic.diffops import DiffOp0, DiffOp1, DiffOpNeg1
-from diolic.brackets import BiDer0
+from diolic.brackets import BiDer0, _as_diolic, _last_slot_derivation
 
 
 def rng(seed):
@@ -121,3 +121,159 @@ def der_vector(v, maxdeg):
     """The coefficient vector of a PolyVec in the basis of der_differential."""
     monos = monomials_up_to(v.n, maxdeg)
     return [comp.terms.get(mu, Fraction(0)) for comp in v.comps for mu in monos]
+
+
+# ---------------------------------------------------------------------------
+# oracles: the enumerating probe loops that the checkers of diolic.brackets
+# replaced by exact generator sets, kept as they were
+
+
+def oracle_validate_jacobi0(op, probe_degree=2):
+    """Raise ValueError unless the two components of op share their scalar
+    behaviour on all probes of degree <= probe_degree (JacobiOp0's check)."""
+    n, m = op.n, op.m
+    one = Poly.one(n)
+    for sa in monomials_up_to(n, probe_degree):
+        a = Poly.monomial(n, sa)
+        pa1 = op.eval_aa(a, one)
+        for sb in monomials_up_to(n, probe_degree):
+            b = Poly.monomial(n, sb)
+            scalar = op.eval_aa(a, b) - b * pa1
+            for j in range(m):
+                p = PolyVec.basis(n, m, j)
+                lhs = op.eval_ap(a, b * p) - b * op.eval_ap(a, p)
+                if not (lhs - scalar * p).is_zero():
+                    raise ValueError(
+                        "components do not share scalar behaviour at "
+                        "(a, b, p) = (%s, %s, e%d)" % (a, b, j + 1))
+
+
+def oracle_schouten_probe_suite(pi, degree=2):
+    """Nonzero values of [[Pi,Pi]] on all monomial triples of degree
+    <= degree with at most one slot in P; returns [(label, DiolicElement)].
+    """
+    n, m = pi.n, pi.m
+    monos = [Poly.monomial(n, s) for s in monomials_up_to(n, degree)]
+    a_elems = [(str(a), a) for a in monos]
+    p_elems = [("%s*e%d" % (a, j + 1), a * PolyVec.basis(n, m, j))
+               for a in monos for j in range(m)]
+    bad = []
+    patterns = [(a_elems, a_elems, a_elems), (p_elems, a_elems, a_elems),
+                (a_elems, p_elems, a_elems), (a_elems, a_elems, p_elems)]
+    for s1, s2, s3 in patterns:
+        for l1, z1 in s1:
+            for l2, z2 in s2:
+                der = _last_slot_derivation(pi, z1, z2)
+                for l3, z3 in s3:
+                    val = der(z3)
+                    if not val.is_zero():
+                        bad.append(("[[Pi,Pi]](%s, %s, %s)" % (l1, l2, l3),
+                                    _as_diolic(val, m)))
+    return bad
+
+
+def oracle_is_jacobi0(b, probe_degree=3):
+    """Exact degree-0 Jacobi test; returns (verdict, named residuals).
+
+    The Jacobiator is evaluated on all monomial triples of degree up to
+    probe_degree per slot with at most one slot in P, and the first-order
+    compatibility PDE
+    Pi(Pi(a,b), p) - Pi(a, Pi(b,p)) + Pi(b, Pi(a,p)) = 0 is evaluated on
+    coordinate pairs against basis sections.
+    """
+    n, m = b.n, b.m
+    residuals = []
+    monos = [Poly.monomial(n, s) for s in monomials_up_to(n, probe_degree)]
+    sections = [(p, "e%d" % (j + 1)) for j in range(m)
+                for p in [PolyVec.basis(n, m, j)]]
+
+    # pair tables keep the triple suites from recomputing inner brackets
+    nmono = len(monos)
+    aa = [[b.eval_aa(monos[i], monos[j]) for j in range(nmono)]
+          for i in range(nmono)]
+    ap = [[b.eval_ap(monos[i], p) for p, _ in sections] for i in range(nmono)]
+
+    for i1, a1 in enumerate(monos):
+        for i2, a2 in enumerate(monos):
+            a12 = aa[i1][i2]
+            for i3, a3 in enumerate(monos):
+                v = b.eval_aa(a12, a3) - b.eval_aa(a1, aa[i2][i3]) \
+                    + b.eval_aa(a2, aa[i1][i3])
+                if not v.is_zero():
+                    residuals.append(("jacobiator(%s; %s; %s)" % (a1, a2, a3), v))
+            for jp, (p, lbl) in enumerate(sections):
+                v = b.eval_ap(a12, p) - b.eval_ap(a1, ap[i2][jp]) \
+                    + b.eval_ap(a2, ap[i1][jp])
+                if not v.is_zero():
+                    # unfolding the evaluation rules shows the same value,
+                    # up to sign, for the P argument in any slot
+                    residuals.append(("jacobiator(%s; %s; %s)" % (a1, a2, lbl), v))
+                    residuals.append(("jacobiator(%s; %s; %s)" % (a1, lbl, a2), -v))
+                    residuals.append(("jacobiator(%s; %s; %s)" % (lbl, a1, a2), v))
+
+    x = [Poly.var(n, i + 1) for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        for p, lbl in sections:
+            v = (b.eval_ap(b.eval_aa(x[i], x[j]), p)
+                 - b.eval_ap(x[i], b.eval_ap(x[j], p))
+                 + b.eval_ap(x[j], b.eval_ap(x[i], p)))
+            if not v.is_zero():
+                residuals.append(("jacobi_pde[%d,%d](%s)" % (i + 1, j + 1, lbl), v))
+
+    return not residuals, residuals
+
+
+def oracle_jacobi_neg1_residuals(j, probe_degree=3):
+    """Nonzero Jacobiators of the rank-1 bracket on monomial triples."""
+    n = j.n
+    out = []
+    monos = [Poly.monomial(n, s) for s in monomials_up_to(n, probe_degree)]
+    for f in monos:
+        for g in monos:
+            jfg = j.eval(f, g)
+            for h in monos:
+                v = (j.eval(jfg, h) + j.eval(j.eval(g, h), f)
+                     + j.eval(j.eval(h, f), g))
+                if not v.is_zero():
+                    out.append(("jacobiator(%s; %s; %s)" % (f, g, h), v))
+    return out
+
+
+def oracle_is_lie_algebroid(l, coeff_degree=2):
+    """Exact algebroid test; returns (verdict, named residuals).
+
+    Checks the Jacobi identity for the induced bracket on sections with
+    monomial coefficients of degree <= coeff_degree, and that the anchor
+    intertwines the bracket with the vector-field commutator on basis
+    pairs.  A-linearity of the anchor and the Leibniz rule hold by
+    construction of the representation.
+    """
+    n, m = l.n, l.m
+    residuals = []
+
+    for alpha, beta in itertools.combinations(range(m), 2):
+        ebracket = PolyVec(n, [l.c[alpha].rows[g][beta] for g in range(m)])
+        lhs = l.anchor(ebracket)
+        rhs = l.rho[alpha].bracket(l.rho[beta])
+        diff = lhs - rhs
+        if not diff.is_zero():
+            for i, cmp_ in enumerate(diff.comps):
+                if not cmp_.is_zero():
+                    residuals.append(("anchor[%d,%d].X%d" % (alpha + 1, beta + 1, i + 1), cmp_))
+
+    monos = [Poly.monomial(n, s) for s in monomials_up_to(n, coeff_degree)]
+    sections = []
+    for f in monos:
+        for alpha in range(m):
+            sections.append((f * PolyVec.basis(n, m, alpha),
+                             "%s*e%d" % (f, alpha + 1)))
+    for (p, lp) in sections:
+        for (q, lq) in sections:
+            pq = l.bracket(p, q)
+            for (r, lr) in sections:
+                jac = (l.bracket(pq, r) + l.bracket(l.bracket(q, r), p)
+                       + l.bracket(l.bracket(r, p), q))
+                if not jac.is_zero():
+                    residuals.append(("jacobiator(%s; %s; %s)" % (lp, lq, lr), jac))
+
+    return not residuals, residuals

@@ -10,8 +10,7 @@ from diolic.ops import MatrixOp, ScalarOp, VectorField
 from diolic.cli import DEFAULT_CAPS, parse_problem
 from diolic.derivations import DiolicElement, graded_commutator_der
 from diolic.brackets import (BiDer0, BiDer1, BiDerNeg1, BiDerNeg2,
-                             JacobiNeg1, JacobiOp0, bider0_eval,
-                             bider_neg2_eval, is_jacobi0, is_jacobi_neg1,
+                             JacobiNeg1, JacobiOp0, is_jacobi0, is_jacobi_neg1,
                              is_lie_algebroid, is_poisson0,
                              jacobi_from_poisson, jacobiator0,
                              jacobiator_neg1_graded, schouten_probe_suite,
@@ -72,8 +71,8 @@ def test_bider0_second_slot_der_leibniz():
         pi = rand_bider0(r, 2, 2)
         a, b = rand_poly(r, 2, 2), rand_poly(r, 2, 2)
         p = rand_poly_vec(r, 2, 2, 2)
-        lhs = bider0_eval(pi, a, b * p)
-        rhs = pi.eval_aa(a, b) * p + b * bider0_eval(pi, a, p)
+        lhs = pi.eval(a, b * p)
+        rhs = pi.eval_aa(a, b) * p + b * pi.eval(a, p)
         assert lhs == rhs
 
 
@@ -101,11 +100,10 @@ def test_bider_neg2():
     b = BiDerNeg2(g)
     p = PolyVec(1, [Poly.one(1)])
     q = PolyVec(1, [Poly.var(1, 1)])
-    assert bider_neg2_eval(b, p, q) == Poly(1, {(2,): 1})
-    assert bider_neg2_eval(b, q, p) == bider_neg2_eval(b, p, q)
-    assert bider_neg2_eval(BiDerNeg2(Poly.one(1)),
-                           PolyVec(1, [Poly.var(1, 1)]),
-                           PolyVec(1, [Poly.var(1, 1)])) == Poly(1, {(2,): 1})
+    assert b.eval(p, q) == Poly(1, {(2,): 1})
+    assert b.eval(q, p) == b.eval(p, q)
+    x = PolyVec(1, [Poly.var(1, 1)])
+    assert BiDerNeg2(Poly.one(1)).eval(x, x) == Poly(1, {(2,): 1})
     with pytest.raises(ValueError):
         BiDerNeg2(g, m=2)
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -242,6 +243,15 @@ def test_cohomology_ce_cap(tmp_path, dim, rep_dim):
     code, out, err = run_cli("cohomology", "--ce", abelian_trivial_ce(tmp_path, dim, rep_dim))
     assert code == 3 and out == ""
     assert err.startswith("resource cap: ")
+
+
+def test_check_ce_cap_precedes_validity_check(tmp_path, capsys):
+    # the dense validity check of this file took 33.7 s before the cap came first
+    path = abelian_trivial_ce(tmp_path, 12, 30)
+    started = time.monotonic()
+    assert main(["check", path]) == 3
+    assert time.monotonic() - started <= 1.0
+    assert capsys.readouterr().out == ""
 
 
 def test_cohomology_ce_abelian_12(tmp_path):
