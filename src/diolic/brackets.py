@@ -564,11 +564,17 @@ class JacobiOp0(_Bracket0):
         return out
 
 
-def _jacobiator_triples(bracket, elems):
+def _pair_table(bracket, elems):
+    """table[i][j] = bracket(u_i, u_j) on a list of (label, element) pairs."""
+    return [[bracket(u, v) for _, v in elems] for _, u in elems]
+
+
+def _jacobiator_triples(bracket, elems, table=None):
     """Named nonzero cyclic Jacobiators [[u, v], w] + [[v, w], u] + [[w, u], v]
     of a skew bracket on the triples u < v < w of elems, a list of
-    (label, element) pairs."""
-    table = [[bracket(u, v) for _, v in elems] for _, u in elems]
+    (label, element) pairs; table, if given, is their _pair_table."""
+    if table is None:
+        table = _pair_table(bracket, elems)
     out = []
     for i, j, k in itertools.combinations(range(len(elems)), 3):
         (lu, u), (lv, v), (lw, w) = elems[i], elems[j], elems[k]
@@ -609,12 +615,13 @@ def is_jacobi0(b):
     """
     n, m = b.n, b.m
     monos = _order2_probes(n)
-    residuals = _jacobiator_triples(b.eval_aa, monos)
+    aa = _pair_table(b.eval_aa, monos)
+    residuals = _jacobiator_triples(b.eval_aa, monos, aa)
     sections = [(PolyVec.basis(n, m, j), "e%d" % (j + 1)) for j in range(m)]
     ap = [[b.eval_ap(a, p) for p, _ in sections] for _, a in monos]
     for i1, i2 in itertools.combinations(range(len(monos)), 2):
         (l1, a1), (l2, a2) = monos[i1], monos[i2]
-        a12 = b.eval_aa(a1, a2)
+        a12 = aa[i1][i2]
         for jp, (p, lbl) in enumerate(sections):
             v = b.eval_ap(a12, p) - b.eval_ap(a1, ap[i2][jp]) \
                 + b.eval_ap(a2, ap[i1][jp])

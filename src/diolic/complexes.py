@@ -28,17 +28,49 @@ Neither action raises coefficient degree, so the coefficient-degree <= D
 truncation Q[x]_{<=D} (x) Q^m is a finite-dimensional module, and its CE
 complex is the truncated Der complex; its Q-vector-space cohomology is what
 is computed here (full cohomology over the polynomial ring is a module
-question).  sum_a E^{aa} is central and acts by 1, so by the Cartan
-homotopy every Betti number of a truncation is zero; the tests use this as
-an oracle.
+question).
+
+Only the weight-0 subcomplex of a torus is assembled (Hochschild-Serre,
+"Cohomology of Lie algebras", 1953).  Call a generator h diagonal when its
+slice c[h] and its matrix rho(h) are both diagonal, with mu_i(h) = c[h][i][i]
+and lambda_a(h) = rho(h)[a][a].  Diagonal generators commute: [h, h'] is a
+multiple of e_h' and, by antisymmetry, of e_h.  On the basis cochain
+e^I (x) v_a (the cochain with value v_a on e_I and 0 on the other tuples)
+the Lie derivative L_h w = rho(h) w - sum_k w(.., [h, D_k], ..) acts by the
+scalar
+
+    lambda_a(h) - sum_{i in I} mu_i(h),
+
+so the diagonal generators split every cochain space into joint weight
+spaces.  When c is a Lie bracket and rho a representation, Cartan's
+formula L_h = d i_h + i_h d holds with the contraction
+(i_h w)(D_1..D_p) = w(h, D_1..D_p); so d commutes with each L_h, the weight
+spaces are subcomplexes, and on one where some L_h acts by a scalar
+w != 0 the identity is (d i_h + i_h d) / w, null-homotopic: its cohomology
+is zero.  All cohomology lives in the joint weight-0 subcomplex.  With no
+diagonal generator (so(3) in its real form) that is the whole complex.
+The reported cochain dimensions stay the full ones.
+
+On invalid data d need not preserve weights: an image entry outside the
+weight-0 basis raises the same "d o d != 0" error as a negative Betti
+number, and is never dropped.
+
+For the Der data E^{11}..E^{mm} are diagonal, and summing the weight of
+e^I (x) x^mu e_alpha over them gives 1: the action sum_a E^{aa} = 1 on g1
+against the bracket weights sum_a (delta^{ac} - delta^{da}) = 0 of E^{cd}
+(nabla_i has weight 0).  So the weight-0 subcomplex is empty and every
+Betti number of a truncation is zero, without assembly -- the Cartan
+argument for the central element sum_a E^{aa}, as a special case.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from collections import defaultdict
 from fractions import Fraction
 from math import comb
+from operator import add
 
 from .poly import monomials_up_to
 
@@ -134,29 +166,56 @@ class CEData:
 
 def diolic_lie_residuals(l):
     """Named nonzero obstructions to the data being a graded Lie algebra:
-    Jacobiators of the structure constants and representation defects."""
-    r, c = l.r, l.c
+    Jacobiators of the structure constants and representation defects.
+
+    Both are summed over the nonzero structure constants and the nonzero
+    entries of the rho columns only; representation[j,i] is the negation
+    of representation[i,j], computed once."""
+    r, d1, cols = l.r, l.d1, l._cols
+    # pairs[i][j]: the (t, c[i][j][t]) with c[i][j][t] != 0
+    pairs = [[[] for _ in range(r)] for _ in range(r)]
+    for t, brackets in enumerate(l._brackets):
+        for i, j, v in brackets:
+            pairs[i][j].append((t, v))
+            pairs[j][i].append((t, -v))
     out = []
     for i, j, k in itertools.combinations(range(r), 3):
         # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
-        jac = [sum((c[i][j][t] * c[t][k][s] + c[j][k][t] * c[t][i][s]
-                    + c[k][i][t] * c[t][j][s] for t in range(r)), Fraction(0))
-               for s in range(r)]
+        jac = [ZERO] * r
+        for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
+            for t, x in pairs[u][v]:
+                for s, y in pairs[t][w]:
+                    jac[s] += x * y
         if any(jac):
             out.append(("jacobi[%d,%d,%d]" % (i + 1, j + 1, k + 1),
                         "(" + ", ".join(str(v) for v in jac) + ")"))
+    # defect[i, j], i < j: sum_k c[i][j][k] rho_k - [rho_i, rho_j] as
+    # {(a, b): value}, kept where it is nonzero
+    defect = {}
+    for i, j in itertools.combinations(range(r), 2):
+        diff = defaultdict(Fraction)
+        for k, x in pairs[i][j]:
+            for b, col in enumerate(cols[k]):
+                for a, y in col:
+                    diff[a, b] += x * y
+        for b in range(d1):
+            # column b of rho_i rho_j - rho_j rho_i
+            for t, y in cols[j][b]:
+                for a, x in cols[i][t]:
+                    diff[a, b] -= x * y
+            for t, y in cols[i][b]:
+                for a, x in cols[j][t]:
+                    diff[a, b] += x * y
+        if any(diff.values()):
+            defect[i, j] = diff
     for i in range(r):
         for j in range(r):
-            lhs = [[sum((c[i][j][k] * l.rho[k][a][b] for k in range(r)), Fraction(0))
-                    for b in range(l.d1)] for a in range(l.d1)]
-            comm = [[sum((l.rho[i][a][t] * l.rho[j][t][b]
-                          - l.rho[j][a][t] * l.rho[i][t][b]
-                          for t in range(l.d1)), Fraction(0))
-                     for b in range(l.d1)] for a in range(l.d1)]
-            if lhs != comm:
-                diff = [[str(x - y) for x, y in zip(r1, r2)]
-                        for r1, r2 in zip(lhs, comm)]
-                out.append(("representation[%d,%d]" % (i + 1, j + 1), str(diff)))
+            diff = defect.get((min(i, j), max(i, j)))
+            if diff is not None:
+                sign = 1 if i < j else -1
+                out.append(("representation[%d,%d]" % (i + 1, j + 1),
+                            str([[str(sign * diff[a, b]) for b in range(d1)]
+                                 for a in range(d1)])))
     return out
 
 
@@ -215,29 +274,58 @@ def ce_cochain_dimensions(l):
     return [comb(l.r, p) * l.d1 for p in range(l.r + 1)]
 
 
+def _weight0_bases(l):
+    """The joint weight-0 basis cochains of the diagonal generators, per
+    degree p = 0..r: lists of (increasing p-tuple, a) for e^I (x) v_a."""
+    c, rho = l.c, l.rho
+    torus = [h for h in range(l.r)
+             if not any(v for i, row in enumerate(c[h]) for k, v in enumerate(row) if i != k)
+             and not any(v for a, row in enumerate(rho[h]) for b, v in enumerate(row) if a != b)]
+    mu = [tuple(c[h][i][i] for h in torus) for i in range(l.r)]
+    by_weight = {}
+    for a in range(l.d1):
+        by_weight.setdefault(tuple(rho[h][a][a] for h in torus), []).append(a)
+    bases = []
+    # the increasing p-tuples with their weights, each extended by a larger index
+    level = [((), (ZERO,) * len(torus))]
+    for _ in range(l.r + 1):
+        bases.append([(idx, a) for idx, w in level for a in by_weight.get(w, ())])
+        level = [(idx + (i,), tuple(map(add, w, mu[i]))) for idx, w in level
+                 for i in range(idx[-1] + 1 if idx else 0, l.r)]
+    return bases
+
+
 def ce_cohomology(l):
-    """Betti numbers of the cochain complex Hom(Lambda^p g0, g1), p = 0..r.
+    """Betti numbers of the cochain complex Hom(Lambda^p g0, g1), p = 0..r,
+    from its weight-0 subcomplex (see the module docstring).
 
     Raises ResourceCapError before any assembly if a cochain space is
-    larger than MAX_COCHAIN_DIM.
+    larger than MAX_COCHAIN_DIM, and ValueError("d o d != 0: ...") when
+    d leaves the weight-0 subcomplex or a Betti number comes out negative.
     """
-    dims = ce_cochain_dimensions(l)
-    check_cap(dims)
-    r, d1 = l.r, l.d1
+    check_cap(ce_cochain_dimensions(l))
+    d1 = l.d1
+    bases = _weight0_bases(l)
     ranks = []
-    for p in range(r):
-        start = {idx: t * d1 for t, idx in
-                 enumerate(itertools.combinations(range(r), p + 1))}
+    for p in range(l.r):
+        column = {key: t for t, key in enumerate(bases[p + 1])}
         rows = []
-        for idx in itertools.combinations(range(r), p):
-            for a in range(d1):
-                unit = [ZERO] * d1
-                unit[a] = ONE
-                d = ce_differential(l, p, {idx: unit})
-                rows.append({start[jdx] + b: v for jdx, vec in d.items()
-                             for b, v in enumerate(vec) if v})
+        for idx, a in bases[p]:
+            unit = [ZERO] * d1
+            unit[a] = ONE
+            row = {}
+            for jdx, vec in ce_differential(l, p, {idx: unit}).items():
+                for b, v in enumerate(vec):
+                    if v:
+                        t = column.get((jdx, b))
+                        if t is None:
+                            raise ValueError(
+                                "d o d != 0: d of e^%r (x) v%d leaves the weight-0 subcomplex"
+                                % (tuple(i + 1 for i in idx), a + 1))
+                        row[t] = v
+            rows.append(row)
         ranks.append(rank(rows))
-    return _betti(dims, ranks)
+    return _betti([len(basis) for basis in bases], ranks)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from diolic.ops import MatrixOp, ScalarOp, VectorField
 from diolic.derivations import Der0, Der1, DerNeg1, DiolicElement
 from diolic.diffops import DiffOp0, DiffOp1, DiffOpNeg1
 from diolic.brackets import BiDer0, _as_diolic, _last_slot_derivation
+from diolic.complexes import (ONE, ZERO, _betti, ce_cochain_dimensions,
+                              ce_differential, check_cap, rank)
 
 
 def rng(seed):
@@ -277,3 +279,62 @@ def oracle_is_lie_algebroid(l, coeff_degree=2):
                     residuals.append(("jacobiator(%s; %s; %s)" % (lp, lq, lr), jac))
 
     return not residuals, residuals
+
+
+# ---------------------------------------------------------------------------
+# oracles: the dense validity check and the full-complex assembly that
+# diolic.complexes replaced by sparse sums and the weight-0 subcomplex,
+# kept as they were
+
+
+def oracle_diolic_lie_residuals(l):
+    """Named nonzero obstructions to the data being a graded Lie algebra:
+    Jacobiators of the structure constants and representation defects."""
+    r, c = l.r, l.c
+    out = []
+    for i, j, k in itertools.combinations(range(r), 3):
+        # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
+        jac = [sum((c[i][j][t] * c[t][k][s] + c[j][k][t] * c[t][i][s]
+                    + c[k][i][t] * c[t][j][s] for t in range(r)), Fraction(0))
+               for s in range(r)]
+        if any(jac):
+            out.append(("jacobi[%d,%d,%d]" % (i + 1, j + 1, k + 1),
+                        "(" + ", ".join(str(v) for v in jac) + ")"))
+    for i in range(r):
+        for j in range(r):
+            lhs = [[sum((c[i][j][k] * l.rho[k][a][b] for k in range(r)), Fraction(0))
+                    for b in range(l.d1)] for a in range(l.d1)]
+            comm = [[sum((l.rho[i][a][t] * l.rho[j][t][b]
+                          - l.rho[j][a][t] * l.rho[i][t][b]
+                          for t in range(l.d1)), Fraction(0))
+                     for b in range(l.d1)] for a in range(l.d1)]
+            if lhs != comm:
+                diff = [[str(x - y) for x, y in zip(r1, r2)]
+                        for r1, r2 in zip(lhs, comm)]
+                out.append(("representation[%d,%d]" % (i + 1, j + 1), str(diff)))
+    return out
+
+
+def oracle_ce_cohomology(l):
+    """Betti numbers of the cochain complex Hom(Lambda^p g0, g1), p = 0..r.
+
+    Raises ResourceCapError before any assembly if a cochain space is
+    larger than MAX_COCHAIN_DIM.
+    """
+    dims = ce_cochain_dimensions(l)
+    check_cap(dims)
+    r, d1 = l.r, l.d1
+    ranks = []
+    for p in range(r):
+        start = {idx: t * d1 for t, idx in
+                 enumerate(itertools.combinations(range(r), p + 1))}
+        rows = []
+        for idx in itertools.combinations(range(r), p):
+            for a in range(d1):
+                unit = [ZERO] * d1
+                unit[a] = ONE
+                d = ce_differential(l, p, {idx: unit})
+                rows.append({start[jdx] + b: v for jdx, vec in d.items()
+                             for b, v in enumerate(vec) if v})
+        ranks.append(rank(rows))
+    return _betti(dims, ranks)

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from diolic.poly import Poly, PolyMat, PolyVec, monomials_up_to
 from diolic.ops import MatrixOp, RouteError, ScalarOp, VectorField
-from diolic.derivations import Der0
+from diolic.derivations import Der0, DiolicElement
 from diolic.cli import DEFAULT_CAPS, parse_problem
 from diolic.brackets import (BiDer0, BiDerNeg1, JacobiNeg1, JacobiOp0,
                              _adjoint_curvature, is_jacobi0, is_lie_algebroid,
@@ -95,6 +95,30 @@ def test_suite_structure_matches_oracles(index):
     lift = jacobi_from_poisson(pi)
     assert_agrees(is_jacobi0(lift),
                   oracle_is_jacobi0(lift, probe_degree=2 if pi.n > 2 else 3))
+
+
+@pytest.mark.parametrize("pi", _shipped("poisson0") + [
+    pytest.param(pi, id="suite-%d" % i) for i, pi in enumerate(_suite_structures())])
+def test_poisson_pde_residuals_are_schouten_generator_values(pi):
+    """[[Pi,Pi]] = 2 Jac_Pi on generators: unfolding Jac_Pi gives
+    [[Pi,Pi]](x_i, x_j, x_k) = -2 poisson_pde[i,j,k] and
+    [[Pi,Pi]](x_j, x_k, e_b) = 2 sum_a compat_pde[j,k](a,b) e_a."""
+    n, m = pi.n, pi.m
+    suite = dict(schouten_probe_suite(pi, degree=1))
+    residuals = dict(is_poisson0(pi)[1])
+    x = [str(Poly.var(n, i + 1)) for i in range(n)]
+    for i, j, k in itertools.combinations(range(n), 3):
+        value = suite.get("[[Pi,Pi]](%s, %s, %s)" % (x[i], x[j], x[k]))
+        pde = residuals.get("poisson_pde[%d,%d,%d]" % (i + 1, j + 1, k + 1))
+        assert value == (None if pde is None else DiolicElement.from_a(-2 * pde, m))
+    for j, k in itertools.combinations(range(n), 2):
+        for beta in range(m):
+            value = suite.get("[[Pi,Pi]](%s, %s, 1*e%d)" % (x[j], x[k], beta + 1))
+            compat = [residuals.get("compat_pde[%d,%d](%d,%d)"
+                                    % (j + 1, k + 1, alpha + 1, beta + 1), Poly.zero(n))
+                      for alpha in range(m)]
+            assert value == (None if all(c.is_zero() for c in compat)
+                             else DiolicElement.from_p(2 * PolyVec(n, compat)))
 
 
 @pytest.mark.parametrize("l", [_tangent(2), _so3_bundle(), _broken_bundle()],

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diolic.cli import DEFAULT_CAPS, canonical_problem_json, main
+from diolic.complexes import der_cochain_dimensions
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
@@ -252,6 +253,29 @@ def test_check_ce_cap_precedes_validity_check(tmp_path, capsys):
     assert main(["check", path]) == 3
     assert time.monotonic() - started <= 1.0
     assert capsys.readouterr().out == ""
+
+
+def test_check_ce_below_cap_is_sparse(tmp_path, capsys):
+    # 13,860 cochains, under the cap; the dense validity check took 38.9 s
+    path = abelian_trivial_ce(tmp_path, 11, 30)
+    started = time.monotonic()
+    assert main(["check", path]) == 0
+    assert time.monotonic() - started <= 1.0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("size", [(3, 3, 1), (3, 2, 1), (3, 2, 2)])
+def test_cohomology_der_weight0_is_empty(size, capsys):
+    # the weight-0 subcomplex of the Der data is empty, so nothing is
+    # assembled; full assembly of 3 3 1 (11,088 cochains) took 9.5 s.  It
+    # needs < 0.5 s of its own; 2 s leaves room for a loaded machine
+    started = time.monotonic()
+    assert main(["cohomology", "--der"] + [str(v) for v in size]) == 0
+    assert time.monotonic() - started < 2.0
+    doc = json.loads(capsys.readouterr().out)
+    n, m, _ = size
+    assert doc["betti"] == [0] * (n + m * m + 1)
+    assert doc["cochain_dims"] == der_cochain_dimensions(*size)
 
 
 def test_cohomology_ce_abelian_12(tmp_path):

@@ -1,19 +1,23 @@
+import importlib.util
 import itertools
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from diolic.poly import Poly, PolyVec, monomials_up_to
-from diolic.complexes import (CEData, ResourceCapError,
+from diolic.complexes import (CEData, ResourceCapError, _weight0_bases,
                               ce_cochain_dimensions, ce_cohomology,
                               ce_differential, der_cochain_dimensions,
                               der_cohomology_truncated, der_differential,
-                              diolic_lie_check, rank)
+                              diolic_lie_check, diolic_lie_residuals, rank)
 
-from helpers import der_vector, rand_cochain, rand_fraction, rng
+from helpers import (der_vector, oracle_ce_cohomology, oracle_diolic_lie_residuals,
+                     rand_cochain, rand_fraction, rng)
 
 
 SL2_C = [[[0, 0, 0], [0, 2, 0], [0, 0, -2]],
@@ -213,8 +217,12 @@ def test_ce_cohomology_rejects_negative_betti():
                         "ce_invalid_rep.json")
     with open(path) as fh:
         doc = json.load(fh)
+    l = CEData(doc["dim"], doc["c"], doc["rep_dim"], doc["rho"])
+    # the weight-0 assembly finds d leaving the weight-0 subcomplex first
+    with pytest.raises(ValueError, match="d o d != 0"):
+        ce_cohomology(l)
     with pytest.raises(ValueError, match="negative Betti"):
-        ce_cohomology(CEData(doc["dim"], doc["c"], doc["rep_dim"], doc["rho"]))
+        oracle_ce_cohomology(l)
 
 
 def test_ce_euler_identity():
@@ -231,3 +239,142 @@ def test_cedata_validates_shapes():
         CEData(2, [[[0, 0], [0, 0]]], 1, [[[0]], [[0]]])
     with pytest.raises(ValueError):
         CEData(1, [[[1]]], 1, [[[0]]])  # c must be antisymmetric
+
+
+# -- the weight-0 subcomplex and the sparse check against their oracles ------
+
+PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
+
+
+def _load_families():
+    """perfbench/families.py, loaded from its file: the Lie algebra data of
+    the cohomology benchmark, with Betti numbers known by hand."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "families.py")
+    spec = importlib.util.spec_from_file_location("perfbench_families", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+families = _load_families()
+LIE_FAMILIES = families.lie_families()
+
+
+def ce_data(c, rho):
+    return CEData(len(c), c, len(rho[0]), rho)
+
+
+def shipped_ce():
+    with open(os.path.join(PROBLEMS, "manifest.json")) as fh:
+        names = sorted(json.load(fh))
+    out = []
+    for name in names:
+        with open(os.path.join(PROBLEMS, name)) as fh:
+            doc = json.load(fh)
+        if doc["kind"] == "ce":
+            out.append(pytest.param(
+                CEData(doc["dim"], doc["c"], doc["rep_dim"], doc["rho"]), id=name))
+    return out
+
+
+def so3_real():
+    """[e1, e2] = e3, [e2, e3] = e1, [e3, e1] = e2: no generator acts
+    diagonally, so the weight-0 subcomplex is the whole complex."""
+    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        c[i][j][k], c[j][i][k] = 1, -1
+    return c
+
+
+def perturbations(c, rho):
+    """Every single-entry change by +1 of c (with its antisymmetric partner)
+    and of rho."""
+    r, d1 = len(c), len(rho[0])
+    for i, j in itertools.combinations(range(r), 2):
+        for k in range(r):
+            c2 = [[list(row) for row in block] for block in c]
+            c2[i][j][k] += 1
+            c2[j][i][k] -= 1
+            yield c2, rho
+    for i in range(r):
+        for a, b in itertools.product(range(d1), repeat=2):
+            rho2 = [[list(row) for row in mat] for mat in rho]
+            rho2[i][a][b] += 1
+            yield c, rho2
+
+
+@pytest.mark.parametrize("l", shipped_ce())
+def test_shipped_ce_residuals_match_oracle(l):
+    assert diolic_lie_residuals(l) == oracle_diolic_lie_residuals(l)
+
+
+@pytest.mark.parametrize("index", range(len(LIE_FAMILIES)))
+def test_perturbed_family_residuals_match_oracle(index):
+    c, rho, _ = LIE_FAMILIES[index]
+    for c2, rho2 in perturbations(c, rho):
+        l = ce_data(c2, rho2)
+        assert diolic_lie_residuals(l) == oracle_diolic_lie_residuals(l)
+
+
+def test_so3_real_form_residuals_match_oracle():
+    c = so3_real()
+    for c2, rho2 in itertools.chain([(c, families.adjoint(c))],
+                                    perturbations(c, families.adjoint(c))):
+        l = ce_data(c2, rho2)
+        assert diolic_lie_residuals(l) == oracle_diolic_lie_residuals(l)
+
+
+@pytest.mark.parametrize("index", range(len(LIE_FAMILIES)))
+def test_family_betti_match_oracle(index):
+    c, rho, betti = LIE_FAMILIES[index]
+    r = random.Random(index)
+    for c2, rho2 in [(c, rho)] + [families.move_lie(c, rho, r) for _ in range(3)]:
+        l = ce_data(c2, rho2)
+        assert ce_cohomology(l) == oracle_ce_cohomology(l) == betti
+
+
+@pytest.mark.parametrize("rho, betti", [
+    (families.adjoint(so3_real()), [0, 0, 0, 0]),
+    ([[[0]]] * 3, [1, 0, 0, 1])], ids=["adjoint", "trivial"])
+def test_torus_free_betti_match_oracle(rho, betti):
+    l = ce_data(so3_real(), rho)
+    assert [len(basis) for basis in _weight0_bases(l)] == ce_cochain_dimensions(l)
+    assert ce_cohomology(l) == oracle_ce_cohomology(l) == betti
+
+
+@pytest.mark.parametrize("size", [(1, 1, 3), (2, 1, 2), (1, 2, 1), (2, 2, 1), (1, 3, 0)])
+def test_der_betti_match_oracle(size):
+    l = der_differential(*size)
+    assert ce_cohomology(l) == oracle_ce_cohomology(l) == [0] * (l.r + 1)
+
+
+def test_weight0_dims():
+    # gl(2) adjoint: E11 and E22 are diagonal
+    c, rho, _ = LIE_FAMILIES[5]
+    assert [len(basis) for basis in _weight0_bases(ce_data(c, rho))] == [2, 6, 8, 6, 2]
+    # every basis cochain of the Der data has weight 1 under sum_a E^{aa}
+    for size in [(3, 3, 1), (2, 3, 2), (1, 3, 1)]:
+        assert not any(_weight0_bases(der_differential(*size)))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_betti_invariant_under_signed_permutations(data):
+    """A permutation with signs of the basis of g0 and of g1 is an
+    isomorphism of CE data; the Betti numbers do not change."""
+    c, rho, betti = data.draw(st.sampled_from(LIE_FAMILIES + [
+        (so3_real(), families.adjoint(so3_real()), [0, 0, 0, 0])]))
+    r, d1 = len(c), len(rho[0])
+    perm = data.draw(st.permutations(range(r)))
+    mperm = data.draw(st.permutations(range(d1)))
+    s = data.draw(st.lists(st.sampled_from([1, -1]), min_size=r, max_size=r))
+    t = data.draw(st.lists(st.sampled_from([1, -1]), min_size=d1, max_size=d1))
+    # new e_i = s_i e_perm(i) and new v_a = t_a v_mperm(a)
+    c2 = [[[c[perm[i]][perm[j]][perm[k]] * s[i] * s[j] * s[k] for k in range(r)]
+           for j in range(r)] for i in range(r)]
+    rho2 = [[[rho[perm[i]][mperm[a]][mperm[b]] * s[i] * t[a] * t[b] for b in range(d1)]
+             for a in range(d1)] for i in range(r)]
+    l = ce_data(c2, rho2)
+    assert diolic_lie_check(l)
+    assert ce_cohomology(l) == betti
+
