@@ -601,8 +601,9 @@ def is_jacobi0(b):
       * the A-part: J on the monomial triples a1 < a2 < a3 of degree <= 2,
         C(N, 3) of them with N = C(n+2, 2); this decides J on A^3;
       * the P-part: J(a1, a2, e_j) on the pairs a1 < a2 of degree <= 2,
-        reported with the P argument in each of the three slots, where
-        unfolding the evaluation rules gives the same value up to sign;
+        reported once, as jacobiator(a1; a2; e_j): unfolding the
+        evaluation rules gives the two placements of e_j in another slot
+        the same value up to sign, so they add nothing;
       * jacobi_pde[i,j](e_k) = J(x_i, x_j, e_k), the first-order
         compatibility PDE on coordinate pairs.
 
@@ -627,8 +628,6 @@ def is_jacobi0(b):
                 + b.eval_ap(a2, ap[i1][jp])
             if not v.is_zero():
                 residuals.append(("jacobiator(%s; %s; %s)" % (l1, l2, lbl), v))
-                residuals.append(("jacobiator(%s; %s; %s)" % (l1, lbl, l2), -v))
-                residuals.append(("jacobiator(%s; %s; %s)" % (lbl, l1, l2), v))
 
     x = [Poly.var(n, i + 1) for i in range(n)]
     for i, j in itertools.combinations(range(n), 2):

@@ -159,7 +159,7 @@ class ScalarOp:
 
     def __rmul__(self, other):
         """Left multiplication by a function or scalar: (a * op)(f) = a * op(f)."""
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, (Poly, int, Fraction)):
             out = ScalarOp.__new__(ScalarOp)
             out.n = self.n
             acc = {}
@@ -179,16 +179,19 @@ class ScalarOp:
             return NotImplemented
         self._check(other)
         acc = {}
+        derived = {}  # (s2, rho) -> d^rho a2, shared by every s1 >= rho
         for s1, a1 in self.coeffs.items():
             for rho in _subindices(s1):
                 c = _binom(s1, rho)
                 tail = mi_sub(s1, rho)
                 for s2, a2 in other.coeffs.items():
-                    d = a2.partial_sigma(rho)
+                    d = derived.get((s2, rho))
+                    if d is None:
+                        d = derived[s2, rho] = a2.partial_sigma(rho)
                     if d.is_zero():
                         continue
                     slot = mi_add(tail, s2)
-                    term = a1 * d * c
+                    term = a1 * d if c == 1 else a1 * d * c
                     prev = acc.get(slot)
                     term = term if prev is None else prev + term
                     if term.is_zero():

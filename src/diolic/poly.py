@@ -1,7 +1,19 @@
 """Sparse multivariate polynomials over Q, plus vector and matrix forms.
 
-Coefficients are `fractions.Fraction`, so all arithmetic is exact.  A
-multi-index is a plain tuple of non-negative ints whose length is the
+Coefficients are rationals and all arithmetic is exact.  A stored
+coefficient is an `int` when it is integral and otherwise a
+`fractions.Fraction` with denominator > 1; zeros are never stored.  An int
+equals, hashes and prints like the Fraction of the same value, so readers
+of `Poly.terms` may treat every coefficient as a Fraction (both have
+`.numerator` and `.denominator`).  Only ints and Fractions are accepted
+from outside; anything else, a float included, raises ValueError.
+
+A product of two polynomials clears denominators once: each operand is
+scaled to integer numerators over the lcm d of its denominators, the
+monomial products are multiplied and summed as Python ints, and each
+output coefficient is divided by d1 * d2 at the end, with one gcd.
+
+A multi-index is a plain tuple of non-negative ints whose length is the
 ambient variable count n; variables are named x1..xn (1-based in text and
 in the public API, 0-based inside exponent tuples).
 
@@ -27,6 +39,7 @@ import itertools
 import operator
 import re
 from fractions import Fraction
+from math import gcd, lcm, perm
 
 
 class ParseError(ValueError):
@@ -62,15 +75,50 @@ def monomials_up_to(n, d):
 
 
 def mi_add(s, t):
-    return tuple(a + b for a, b in zip(s, t))
+    return tuple(map(operator.add, s, t))
 
 
 def mi_sub(s, t):
-    return tuple(a - b for a, b in zip(s, t))
+    return tuple(map(operator.sub, s, t))
+
+
+def _rational(c):
+    """The stored form of an outside coefficient; anything but an int (not
+    a bool) or a Fraction raises ValueError, since a float would enter as
+    its binary expansion."""
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int) and not isinstance(c, bool):
+        return int(c)
+    raise ValueError("coefficient must be an int or a Fraction, not %r" % (c,))
+
+
+def _integral(terms):
+    """(d, [(sigma, c * d)]) for stored terms, with d the lcm of their
+    denominators, so that every c * d is an int."""
+    d = 1
+    for c in terms.values():
+        if type(c) is not int:
+            d = lcm(d, c.denominator)
+    if d == 1:
+        return 1, terms.items()
+    return d, [(s, c * d if type(c) is int else c.numerator * (d // c.denominator))
+               for s, c in terms.items()]
+
+
+def _scaled(terms, c):
+    """{sigma: v * c} in stored form, for a nonzero int or Fraction c."""
+    out = {}
+    for s, v in terms.items():
+        v *= c
+        if type(v) is not int and v.denominator == 1:
+            v = v.numerator
+        out[s] = v
+    return out
 
 
 class Poly:
-    """Element of Q[x1..xn]: a finite map multi-index -> nonzero Fraction."""
+    """Element of Q[x1..xn]: a finite map multi-index -> nonzero rational."""
 
     __slots__ = ("n", "terms")
 
@@ -81,10 +129,10 @@ class Poly:
             sigma = tuple(sigma)
             if len(sigma) != n or any(e < 0 for e in sigma):
                 raise ValueError("bad multi-index %r for n=%d" % (sigma, n))
-            c = Fraction(c)
+            c = _rational(c)
             if c:
                 c0 = acc.get(sigma)
-                c = c if c0 is None else c0 + c
+                c = c if c0 is None else _rational(c0 + c)
                 if c:
                     acc[sigma] = c
                 elif sigma in acc:
@@ -95,12 +143,22 @@ class Poly:
     # -- constructors ------------------------------------------------
 
     @classmethod
+    def _trusted(cls, n, terms):
+        """The Poly over terms that are already in stored form (exponent
+        tuples of length n, no zeros, int-or-Fraction coefficients); derived
+        values come from here and skip the validation of __init__."""
+        out = cls.__new__(cls)
+        out.n = n
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls, n):
         return cls(n)
 
     @classmethod
     def const(cls, n, c):
-        return cls(n, {(0,) * n: Fraction(c)})
+        return cls(n, {(0,) * n: c})
 
     @classmethod
     def one(cls, n):
@@ -112,11 +170,11 @@ class Poly:
         if not 1 <= i <= n:
             raise ValueError("variable index out of range: %d" % i)
         sigma = tuple(1 if j == i - 1 else 0 for j in range(n))
-        return cls(n, {sigma: Fraction(1)})
+        return cls(n, {sigma: 1})
 
     @classmethod
     def monomial(cls, n, sigma, c=1):
-        return cls(n, {tuple(sigma): Fraction(c)})
+        return cls(n, {tuple(sigma): c})
 
     # -- queries -----------------------------------------------------
 
@@ -128,7 +186,7 @@ class Poly:
         return max((sum(s) for s in self.terms), default=-1)
 
     def coeff(self, sigma):
-        return self.terms.get(tuple(sigma), Fraction(0))
+        return self.terms.get(tuple(sigma), 0)
 
     # -- arithmetic --------------------------------------------------
 
@@ -137,66 +195,71 @@ class Poly:
             raise ValueError("mismatched variable counts: %d vs %d" % (self.n, other.n))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.n, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
+        if type(other) is not Poly:
+            if isinstance(other, (int, Fraction)):
+                other = Poly.const(self.n, other)
+            elif not isinstance(other, Poly):
+                return NotImplemented
         self._check(other)
         acc = dict(self.terms)
+        get = acc.get
         for s, c in other.terms.items():
-            v = acc.get(s, Fraction(0)) + c
-            if v:
-                acc[s] = v
-            elif s in acc:
+            v = get(s)
+            if v is None:
+                acc[s] = c
+                continue
+            v += c
+            if not v:
                 del acc[s]
-        out = Poly.__new__(Poly)
-        out.n = self.n
-        out.terms = acc
-        return out
+            elif type(v) is not int and v.denominator == 1:
+                acc[s] = v.numerator
+            else:
+                acc[s] = v
+        return Poly._trusted(self.n, acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Poly.__new__(Poly)
-        out.n = self.n
-        out.terms = {s: -c for s, c in self.terms.items()}
-        return out
+        return Poly._trusted(self.n, {s: -c for s, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.n, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
+        if type(other) is not Poly:
+            if isinstance(other, (int, Fraction)):
+                other = Poly.const(self.n, other)
+            elif not isinstance(other, Poly):
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return Poly.zero(self.n)
-            out = Poly.__new__(Poly)
-            out.n = self.n
-            out.terms = {s: v * c for s, v in self.terms.items()}
-            return out
-        if not isinstance(other, Poly):
-            return NotImplemented
+        if type(other) is not Poly:
+            if isinstance(other, (int, Fraction)):
+                if not other:
+                    return Poly.zero(self.n)
+                return Poly._trusted(self.n, _scaled(self.terms, other))
+            if not isinstance(other, Poly):
+                return NotImplemented
         self._check(other)
+        d1, items1 = _integral(self.terms)
+        d2, items2 = _integral(other.terms)
         acc = {}
-        for s1, c1 in self.terms.items():
-            for s2, c2 in other.terms.items():
-                s = mi_add(s1, s2)
-                v = acc.get(s, Fraction(0)) + c1 * c2
-                if v:
-                    acc[s] = v
-                elif s in acc:
-                    del acc[s]
-        out = Poly.__new__(Poly)
-        out.n = self.n
-        out.terms = acc
-        return out
+        get = acc.get
+        add = operator.add
+        for s1, c1 in items1:
+            for s2, c2 in items2:
+                s = tuple(map(add, s1, s2))
+                acc[s] = get(s, 0) + c1 * c2
+        d = d1 * d2
+        if d == 1:
+            return Poly._trusted(self.n, {s: v for s, v in acc.items() if v})
+        terms = {}
+        for s, v in acc.items():
+            if v:
+                g = gcd(v, d)
+                terms[s] = v // d if g == d else Fraction(v // g, d // g)
+        return Poly._trusted(self.n, terms)
 
     __rmul__ = __mul__
 
@@ -209,10 +272,11 @@ class Poly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.n, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
+        if type(other) is not Poly:
+            if isinstance(other, (int, Fraction)):
+                other = Poly.const(self.n, other)
+            elif not isinstance(other, Poly):
+                return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
     __hash__ = None
@@ -224,23 +288,39 @@ class Poly:
         if not 1 <= i <= self.n:
             raise ValueError("variable index out of range: %d" % i)
         j = i - 1
-        acc = {}
+        terms = {}
         for s, c in self.terms.items():
             e = s[j]
             if e:
-                t = s[:j] + (e - 1,) + s[j + 1:]
-                acc[t] = acc.get(t, Fraction(0)) + c * e
-        return Poly(self.n, acc)
+                c *= e
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+                terms[s[:j] + (e - 1,) + s[j + 1:]] = c
+        return Poly._trusted(self.n, terms)
 
     def partial_sigma(self, sigma):
-        """Iterated derivative d^sigma."""
-        p = self
-        for i, e in enumerate(sigma):
-            for _ in range(e):
-                p = p.partial(i + 1)
-                if p.is_zero():
-                    return p
-        return p
+        """Iterated derivative d^sigma: c x^s goes to
+        c prod_i s_i!/(s_i - sigma_i)! x^(s - sigma) when s >= sigma, and
+        to 0 otherwise."""
+        sigma = tuple(sigma)
+        if len(sigma) != self.n:
+            raise ValueError("bad multi-index %r for n=%d" % (sigma, self.n))
+        steps = [(i, k) for i, k in enumerate(sigma) if k]
+        if not steps:
+            return self
+        terms = {}
+        for s, c in self.terms.items():
+            f = 1
+            for i, k in steps:
+                if s[i] < k:
+                    break
+                f *= perm(s[i], k)
+            else:
+                c *= f
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+                terms[tuple(map(operator.sub, s, sigma))] = c
+        return Poly._trusted(self.n, terms)
 
     # -- printing ----------------------------------------------------
 
@@ -414,7 +494,7 @@ def parse_poly(text, n):
     acc = {}
     for coeff, expos in parse_terms(text, n, ("x",)):
         sigma = expos["x"]
-        acc[sigma] = acc.get(sigma, Fraction(0)) + coeff
+        acc[sigma] = acc.get(sigma, 0) + coeff
     return Poly(n, acc)
 
 
@@ -465,7 +545,7 @@ class _Linear:
 
     def __rmul__(self, other):
         """Scaling by an int, a Fraction or a polynomial function."""
-        if not isinstance(other, (int, Fraction, Poly)):
+        if not isinstance(other, (Poly, int, Fraction)):
             return NotImplemented
         return self._rebuild(_each(functools.partial(operator.mul, other), self._parts()))
 

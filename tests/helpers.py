@@ -9,8 +9,8 @@ from fractions import Fraction
 import itertools
 import random
 
-from diolic.poly import Poly, PolyMat, PolyVec, monomials_up_to
-from diolic.ops import MatrixOp, ScalarOp, VectorField
+from diolic.poly import Poly, PolyMat, PolyVec, mi_add, mi_sub, monomials_up_to
+from diolic.ops import MatrixOp, ScalarOp, VectorField, _binom, _subindices
 from diolic.derivations import Der0, Der1, DerNeg1, DiolicElement
 from diolic.diffops import DiffOp0, DiffOp1, DiffOpNeg1
 from diolic.brackets import BiDer0, _as_diolic, _last_slot_derivation
@@ -338,3 +338,30 @@ def oracle_ce_cohomology(l):
                              for b, v in enumerate(vec) if v})
         ranks.append(rank(rows))
     return _betti(dims, ranks)
+
+
+def oracle_compose(self, other):
+    """ScalarOp composition self o other by the generalized Leibniz rule,
+    one product per (s1, rho, s2): d^rho a2 is derived again for every s1
+    and multiplied by its binomial factor even when that is 1."""
+    acc = {}
+    for s1, a1 in self.coeffs.items():
+        for rho in _subindices(s1):
+            c = _binom(s1, rho)
+            tail = mi_sub(s1, rho)
+            for s2, a2 in other.coeffs.items():
+                d = a2.partial_sigma(rho)
+                if d.is_zero():
+                    continue
+                slot = mi_add(tail, s2)
+                term = a1 * d * c
+                prev = acc.get(slot)
+                term = term if prev is None else prev + term
+                if term.is_zero():
+                    acc.pop(slot, None)
+                else:
+                    acc[slot] = term
+    out = ScalarOp.__new__(ScalarOp)
+    out.n = self.n
+    out.coeffs = acc
+    return out

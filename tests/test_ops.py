@@ -4,7 +4,8 @@ from diolic.poly import Poly, PolyVec, monomials_up_to
 from diolic.ops import (MatrixOp, ScalarOp, commutator, delta, delta_nest,
                         verify_order)
 
-from helpers import rng, rand_poly, rand_scalar_op, rand_matrix_op, rand_poly_vec
+from helpers import (oracle_compose, rng, rand_poly, rand_scalar_op, rand_matrix_op,
+                     rand_poly_vec)
 
 
 def d(n, i):
@@ -44,6 +45,17 @@ def test_compose_agrees_with_pointwise_application():
         for sigma in monomials_up_to(n, max(a.order() + b.order() + 1, 0)):
             probe = Poly.monomial(n, sigma)
             assert comp(probe) == a(b(probe))
+
+
+def test_compose_matches_oracle_loop():
+    r = rng(31)
+    for _ in range(150):
+        n = r.randint(1, 3)
+        a = rand_scalar_op(r, n, r.randint(0, 3), coeff_deg=r.randint(0, 3), terms=4)
+        b = rand_scalar_op(r, n, r.randint(0, 3), coeff_deg=r.randint(0, 3), terms=4)
+        got = a @ b
+        assert got == oracle_compose(a, b)
+        assert str(got) == str(oracle_compose(a, b))
 
 
 def test_compose_associative():

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from diolic.poly import (ParseError, Poly, PolyMat, PolyVec, monomials_up_to,
                          parse_poly)
@@ -60,6 +62,16 @@ def test_print_parse_round_trip_random():
         n = r.randint(1, 3)
         p = rand_poly(r, n, 4, 5)
         assert parse_poly(str(p), n) == p
+
+
+def test_non_rational_coefficients_rejected():
+    for c in (0.1, 1.0, True, "1/2", 1j, None):
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            Poly(1, {(1,): c})
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            Poly.const(1, c)
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            Poly.monomial(1, (1,), c)
 
 
 def test_mul_examples():
@@ -227,3 +239,77 @@ def test_order_tag_is_not_a_linear_part():
         assert high == x
         assert (x + high).k == (high - x).k == 3
         assert (-high).k == (2 * high).k == 3
+
+
+# -- the coefficient kernel: properties and a differential test against sympy
+
+
+@st.composite
+def polys(draw, n):
+    """A polynomial in n variables of degree <= 3 with up to five terms whose
+    coefficients have denominators 1, 2, 3 and 5."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        sigma = tuple(draw(st.integers(0, 3)) for _ in range(n))
+        terms[sigma] = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from([1, 2, 3, 5])))
+    return Poly(n, terms)
+
+
+@st.composite
+def poly_triples(draw):
+    n = draw(st.integers(1, 3))
+    return n, [draw(polys(n)) for _ in range(3)]
+
+
+def assert_stored(p):
+    """Every stored coefficient is a nonzero int, or a Fraction that is not
+    one; every key is an exponent tuple of length n."""
+    for sigma, c in p.terms.items():
+        assert len(sigma) == p.n and all(type(e) is int and e >= 0 for e in sigma)
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (sigma, c)
+        assert c != 0
+
+
+KERNEL_EXAMPLES = settings(max_examples=150, derandomize=True, deadline=None, database=None)
+
+
+@KERNEL_EXAMPLES
+@given(poly_triples(), st.sampled_from([2, -3, Fraction(1, 2), Fraction(-10, 5)]))
+def test_kernel_properties(triple, c):
+    n, (p, q, s) = triple
+    zero, one = Poly.zero(n), Poly.one(n)
+    for v in (p, q, p + q, p - q, -p, p * q, p * c, c * q, (p * q).partial(n),
+              p.partial_sigma((1,) * n), parse_poly(str(p * q), n)):
+        assert_stored(v)
+    assert (p * q) * s == p * (q * s)
+    assert p * q == q * p
+    assert p * (q + s) == p * q + p * s
+    assert (p + q) + s == p + (q + s)
+    assert p + q == q + p
+    assert p + zero == p and p * one == p and (p * zero).is_zero()
+    assert (p - p).is_zero()
+    assert p * c == p * Poly.const(n, c)
+    for i in range(1, n + 1):
+        assert (p * q).partial(i) == p.partial(i) * q + p * q.partial(i)
+    for v in (p, p * q, p * c):
+        assert parse_poly(str(v), n) == v
+        assert str(parse_poly(str(v), n)) == str(v)
+
+
+def _to_sympy(p, xs):
+    expr = sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*[x ** e for x, e in zip(xs, sigma)])
+                for sigma, c in p.terms.items()), sympy.Integer(0))
+    return sympy.Poly(expr, *xs, domain="QQ")
+
+
+@KERNEL_EXAMPLES
+@given(poly_triples())
+def test_kernel_matches_sympy(triple):
+    n, (p, q, _) = triple
+    xs = sympy.symbols("x1:%d" % (n + 1))
+    sp, sq = _to_sympy(p, xs), _to_sympy(q, xs)
+    assert _to_sympy(p + q, xs) == sp + sq
+    assert _to_sympy(p * q, xs) == sp * sq
+    for i in range(n):
+        assert _to_sympy(p.partial(i + 1), xs) == sp.diff(xs[i])
