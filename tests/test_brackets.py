@@ -348,6 +348,11 @@ def test_is_jacobi0_designed_violation_fails():
     assert not ok
     assert any(name.startswith("jacobi_pde") for name, _ in res)
     assert any(name.startswith("jacobiator") for name, _ in res)
+    # each P-part value is reported once, with the section in the last slot
+    for name, _ in res:
+        if name.startswith("jacobiator("):
+            args = name[len("jacobiator("):-1].split("; ")
+            assert not any(a.startswith("e") for a in args[:2]), name
 
 
 def test_is_jacobi_neg1():
