@@ -16,13 +16,11 @@ from .ops import (MatrixOp, RouteError, ScalarOp, VectorField, commutator,
                   delta, delta_nest, verify_order)
 from .derivations import (Der0, Der1, DerNeg1, DiolicElement,
                           TruncatedDiolicModule, artificial_der,
-                          check_phi_der, der0_apply, der0_split, der1_apply,
-                          graded_commutator_der, p_action,
-                          rank_one_obstruction, symbol_sigma)
+                          check_phi_der, der0_split, graded_commutator_der,
+                          p_action, rank_one_obstruction, symbol_sigma)
 from .diffops import (DiffOp0, DiffOp1, DiffOpNeg1, atiyah_project,
                       atiyah_split, beta_diff, check_k_connection,
-                      diffop0_apply, graded_commutator_diff,
-                      verify_diolic_diffop)
+                      graded_commutator_diff, verify_diolic_diffop)
 from .symbols import (DiolicSymbol0, DiolicSymbol1, DiolicSymbolNeg1,
                       SymbolPoly, diolic_poisson_bracket, diolic_symbol0,
                       diolic_symbol1, diolic_symbol_neg1, hamiltonian_apply,

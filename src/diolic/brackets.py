@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 
 from .poly import Poly, PolyMat, PolyVec, monomials_up_to
-from .ops import MatrixOp, RouteError, ScalarOp, VectorField
+from .ops import MatrixOp, RouteError, VectorField
 from .derivations import Der0, Der1, DiolicElement, graded_commutator_der
 
 
@@ -672,26 +672,15 @@ def is_jacobi_neg1(j):
 
 def jacobi_from_poisson(pi):
     """Lift a degree-0 Poisson biderivation to a Jacobi-type bracket
-    with Pi(1, -) = 0."""
-    n, m = pi.n, pi.m
-    caa = {}
-    for i in range(n):
-        for j in range(n):
-            if not pi.aa[i][j].is_zero():
-                si = tuple(1 if l == i else 0 for l in range(n))
-                sj = tuple(1 if l == j else 0 for l in range(n))
-                caa[(si, sj)] = pi.aa[i][j]
-    dmap = {}
-    for i in range(n):
-        si = tuple(1 if l == i else 0 for l in range(n))
-        ham = MatrixOp.from_polymat(pi.end[i])
-        for jj in range(n):
-            if not pi.aa[i][jj].is_zero():
-                ham = ham + MatrixOp.scalar_times_identity(
-                    pi.aa[i][jj] * ScalarOp.partial(n, jj + 1), m)
-        if not ham.is_zero():
-            dmap[si] = ham
-    return JacobiOp0(n, m, caa, dmap)
+    with Pi(1, -) = 0: the bivector table, and the Hamiltonian of x_i as
+    the second-slot operator of d/dx_i."""
+    n = pi.n
+    basis = [tuple(1 if l == i else 0 for l in range(n)) for i in range(n)]
+    caa = {(si, sj): pi.aa[i][j] for i, si in enumerate(basis)
+           for j, sj in enumerate(basis)}
+    dmap = {si: pi.hamiltonian(Poly.var(n, i + 1)).to_matrix_op()
+            for i, si in enumerate(basis)}
+    return JacobiOp0(n, pi.m, caa, dmap)
 
 
 def jacobiator_neg1_graded(l, z1, z2, z3):

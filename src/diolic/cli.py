@@ -598,6 +598,7 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+@functools.cache  # built on the first main call; parse_args leaves it as is
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="diolic",

@@ -72,7 +72,7 @@ from fractions import Fraction
 from math import comb
 from operator import add
 
-from .poly import monomials_up_to
+from .poly import _rational, monomials_up_to
 
 # largest cochain space either complex may assemble
 MAX_COCHAIN_DIM = 20000
@@ -133,16 +133,17 @@ def _betti(dims, ranks):
 
 class CEData:
     """Structure constants c[i][j][k] of a Lie algebra of dimension r and
-    matrices rho[i] (d1 x d1) of a representation, all over Q."""
+    matrices rho[i] (d1 x d1) of a representation, all over Q: ints or
+    Fractions, stored as Poly stores coefficients."""
 
     __slots__ = ("r", "c", "d1", "rho", "_cols", "_brackets")
 
     def __init__(self, r, c, d1, rho):
-        c = tuple(tuple(tuple(Fraction(v) for v in row) for row in block) for block in c)
+        c = tuple(tuple(tuple(_rational(v) for v in row) for row in block) for block in c)
         if len(c) != r or any(len(b) != r for b in c) or any(
                 len(row) != r for b in c for row in b):
             raise ValueError("structure constants must be r x r x r")
-        rho = tuple(tuple(tuple(Fraction(v) for v in row) for row in mat) for mat in rho)
+        rho = tuple(tuple(tuple(_rational(v) for v in row) for row in mat) for mat in rho)
         if len(rho) != r or any(len(mat) != d1 for mat in rho) or any(
                 len(row) != d1 for mat in rho for row in mat):
             raise ValueError("representation must give r matrices of size d1")

@@ -231,14 +231,6 @@ def rank_one_obstruction(m):
     return forced
 
 
-def der0_apply(d, e):
-    return d(e)
-
-
-def der1_apply(z, a):
-    return z(a)
-
-
 def degree_of(d):
     if isinstance(d, Der0):
         return 0
@@ -541,14 +533,16 @@ class TruncatedDiolicModule:
         return out
 
 
-def check_phi_der(module, xa, xp, probe_degree=2):
+def check_phi_der(module, xa, xp):
     """Twisted Leibniz check: XP(a p) = phi(XA(a) (x) p) + a XP(p).
 
     xa is the operator A -> Q0 (a list of rank0 ScalarOps) and must be a
     derivation (order <= 1, killing constants); xp is the operator
-    P -> Q1 as a rank1 x m matrix of ScalarOps.  The identity is checked
-    on all monomials a of degree <= probe_degree against all basis
-    sections p, which determines it for order <= 1 operators.
+    P -> Q1 as a rank1 x m matrix of ScalarOps.  For a fixed basis
+    section p the defect a -> XP(a p) - phi(XA(a) (x) p) - a XP(p) is an
+    operator in a of order <= max(1, order of the XP entries), so checking
+    it on all monomials a of that degree against all basis sections p
+    decides the identity exactly.
     """
     n, m = module.n, module.m
     if len(xa) != module.rank0 or len(xp) != module.rank1 or any(
@@ -563,6 +557,7 @@ def check_phi_der(module, xa, xp, probe_degree=2):
         return [sum((xp[j][alpha](p.comps[alpha]) for alpha in range(m)),
                     Poly.zero(n)) for j in range(module.rank1)]
 
+    probe_degree = max([1] + [op.order() for row in xp for op in row])
     for sigma in monomials_up_to(n, probe_degree):
         a = Poly.monomial(n, sigma)
         xa_a = [op(a) for op in xa]

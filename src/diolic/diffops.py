@@ -15,7 +15,7 @@ degree -1 operators (P -> A) exist only at rank 1.
 from __future__ import annotations
 
 from .poly import Poly, PolyVec, _Linear, monomials_up_to
-from .ops import MatrixOp, RouteError, ScalarOp, delta
+from .ops import MatrixOp, ScalarOp, verify_order
 from .derivations import DiolicElement, _verify
 
 
@@ -187,10 +187,11 @@ class DiffOpNeg1(_Linear):
 def verify_diolic_diffop(boxA, boxP, k):
     """True iff (boxA, boxP) form a degree-0 operator of order k.
 
-    Two independent routes must agree: (a) boxP - boxA*I has order
-    <= k-1; (b) the diagonal delta-nests of depth k agree on the two
-    parts, tested for all monomials a of degree <= k+1 against all basis
-    sections.
+    That is the order condition on boxP - boxA*I, decided by the dual-route
+    `verify_order` at k-1.  Its coordinate route is the shared-scalar-symbol
+    condition itself: delta is linear and acts entrywise, so the depth-k
+    coordinate nests of boxP - boxA*I are the nests of boxP minus the
+    nests of boxA times I, and they vanish iff the two parts agree.
     """
     if not isinstance(boxA, ScalarOp) or not isinstance(boxP, MatrixOp):
         raise TypeError("need (ScalarOp, MatrixOp)")
@@ -198,34 +199,7 @@ def verify_diolic_diffop(boxA, boxP, k):
         raise ValueError("dimension mismatch")
     if boxA.order() > k or boxP.order() > k:
         return False
-    n, m = boxA.n, boxP.m
-    diff = boxP - MatrixOp.scalar_times_identity(boxA, m)
-    by_order = diff.order() <= k - 1
-
-    by_delta = True
-    probes = [Poly.monomial(n, s) for s in monomials_up_to(n, max(k + 1, 1))]
-    basis = [PolyVec.basis(n, m, j) for j in range(m)]
-    for a in probes:
-        nest_a = boxA
-        nest_p = boxP
-        for _ in range(k):
-            nest_a = delta(a, nest_a)
-            nest_p = delta(a, nest_p)
-        # nest_a is order <= 0, i.e. multiplication by nest_a(1)
-        mult = nest_a(Poly.one(n))
-        for b in basis:
-            if not ((nest_p @ b) - mult * b).is_zero():
-                by_delta = False
-                break
-        if not by_delta:
-            break
-    if by_order != by_delta:
-        raise RouteError("order route and delta route disagree")
-    return by_order
-
-
-def diffop0_apply(b, e):
-    return b(e)
+    return verify_order(boxP - MatrixOp.scalar_times_identity(boxA, boxP.m), k - 1)
 
 
 def atiyah_project(b):

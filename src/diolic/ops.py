@@ -235,12 +235,12 @@ def delta(a, op):
     Works for ScalarOp and MatrixOp (entrywise, since multiplication by a
     acts diagonally).
     """
+    if not isinstance(op, (ScalarOp, MatrixOp)):
+        raise TypeError("delta expects a ScalarOp or MatrixOp")
+    ma = ScalarOp.mult(a)
     if isinstance(op, ScalarOp):
-        ma = ScalarOp.mult(a)
         return ma @ op - op @ ma
-    if isinstance(op, MatrixOp):
-        return op.map(lambda e: delta(a, e))
-    raise TypeError("delta expects a ScalarOp or MatrixOp")
+    return op.map(lambda e: ma @ e - e @ ma)
 
 
 def delta_nest(args, op):
@@ -251,7 +251,7 @@ def delta_nest(args, op):
 
 
 def verify_order(op, k):
-    """True iff op has order <= k.
+    """True iff op has order <= k; k = -1 asks whether op is zero.
 
     Runs two independent routes and insists that they agree: direct
     coefficient inspection, and vanishing of all coordinate delta-nests of
@@ -259,10 +259,10 @@ def verify_order(op, k):
     coordinate functions already separate orders on the polynomial ring:
     the nest indexed by a multiset gamma, |gamma| = k+1, maps a_sigma
     d^sigma to a nonzero multiple of a_sigma d^(sigma-gamma) precisely
-    when gamma <= sigma.)
+    when gamma <= sigma.  At k = -1 the only nest is op itself.)
     """
-    if k < 0:
-        raise ValueError("order bound must be >= 0")
+    if k < -1:
+        raise ValueError("order bound must be >= -1")
     by_coeff = op.order() <= k
     n = op.n
     probe_deg = max(k + 1, op.order())

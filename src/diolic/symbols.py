@@ -17,7 +17,7 @@ of degree-0 operators; degree-1 symbols are columns.
 from __future__ import annotations
 
 from .poly import ParseError, Poly, _Linear, format_terms, parse_terms, var_names
-from .ops import RouteError, ScalarOp
+from .ops import RouteError, ScalarOp, delta_nest
 from .derivations import Der0
 from .diffops import DiffOp0, DiffOp1, DiffOpNeg1, _sum_order
 
@@ -329,12 +329,8 @@ def lambda_k(b, args):
     args = list(args)
     if len(args) != b.k - 1:
         raise ValueError("expected %d arguments, got %d" % (b.k - 1, len(args)))
-    nest_a = b.boxA
-    nest_m = b.M
-    for a in args:
-        ma = ScalarOp.mult(a)
-        nest_a = ma @ nest_a - nest_a @ ma
-        nest_m = nest_m.map(lambda e: ma @ e - e @ ma)
+    nest_a = delta_nest(args, b.boxA)
+    nest_m = delta_nest(args, b.M)
     if nest_a.order() > 1 or nest_m.order() > 0:
         raise RouteError("delta nest failed to reduce the order")
     return Der0(nest_a.first_order_part(), nest_m.order_zero_polymat())

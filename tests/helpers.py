@@ -10,10 +10,11 @@ import itertools
 import random
 
 from diolic.poly import Poly, PolyMat, PolyVec, mi_add, mi_sub, monomials_up_to
-from diolic.ops import MatrixOp, ScalarOp, VectorField, _binom, _subindices
+from diolic.ops import (MatrixOp, RouteError, ScalarOp, VectorField, _binom, _subindices,
+                        delta)
 from diolic.derivations import Der0, Der1, DerNeg1, DiolicElement
 from diolic.diffops import DiffOp0, DiffOp1, DiffOpNeg1
-from diolic.brackets import BiDer0, _as_diolic, _last_slot_derivation
+from diolic.brackets import BiDer0, JacobiOp0, _as_diolic, _last_slot_derivation
 from diolic.complexes import (ONE, ZERO, _betti, ce_cochain_dimensions,
                               ce_differential, check_cap, rank)
 
@@ -127,7 +128,71 @@ def der_vector(v, maxdeg):
 
 # ---------------------------------------------------------------------------
 # oracles: the enumerating probe loops that the checkers of diolic.brackets
-# replaced by exact generator sets, kept as they were
+# and diolic.diffops replaced by exact generator sets, kept as they were
+
+
+def oracle_verify_diolic_diffop(boxA, boxP, k):
+    """True iff (boxA, boxP) form a degree-0 operator of order k.
+
+    Two independent routes must agree: (a) boxP - boxA*I has order
+    <= k-1; (b) the diagonal delta-nests of depth k agree on the two
+    parts, tested for all monomials a of degree <= k+1 against all basis
+    sections.
+    """
+    if not isinstance(boxA, ScalarOp) or not isinstance(boxP, MatrixOp):
+        raise TypeError("need (ScalarOp, MatrixOp)")
+    if boxA.n != boxP.n:
+        raise ValueError("dimension mismatch")
+    if boxA.order() > k or boxP.order() > k:
+        return False
+    n, m = boxA.n, boxP.m
+    diff = boxP - MatrixOp.scalar_times_identity(boxA, m)
+    by_order = diff.order() <= k - 1
+
+    by_delta = True
+    probes = [Poly.monomial(n, s) for s in monomials_up_to(n, max(k + 1, 1))]
+    basis = [PolyVec.basis(n, m, j) for j in range(m)]
+    for a in probes:
+        nest_a = boxA
+        nest_p = boxP
+        for _ in range(k):
+            nest_a = delta(a, nest_a)
+            nest_p = delta(a, nest_p)
+        # nest_a is order <= 0, i.e. multiplication by nest_a(1)
+        mult = nest_a(Poly.one(n))
+        for b in basis:
+            if not ((nest_p @ b) - mult * b).is_zero():
+                by_delta = False
+                break
+        if not by_delta:
+            break
+    if by_order != by_delta:
+        raise RouteError("order route and delta route disagree")
+    return by_order
+
+
+def oracle_jacobi_from_poisson(pi):
+    """jacobi_from_poisson with the Hamiltonian of x_i assembled by hand:
+    end[i] plus sum_j aa[i][j] d/dx_j times the identity."""
+    n, m = pi.n, pi.m
+    caa = {}
+    for i in range(n):
+        for j in range(n):
+            if not pi.aa[i][j].is_zero():
+                si = tuple(1 if l == i else 0 for l in range(n))
+                sj = tuple(1 if l == j else 0 for l in range(n))
+                caa[(si, sj)] = pi.aa[i][j]
+    dmap = {}
+    for i in range(n):
+        si = tuple(1 if l == i else 0 for l in range(n))
+        ham = MatrixOp.from_polymat(pi.end[i])
+        for jj in range(n):
+            if not pi.aa[i][jj].is_zero():
+                ham = ham + MatrixOp.scalar_times_identity(
+                    pi.aa[i][jj] * ScalarOp.partial(n, jj + 1), m)
+        if not ham.is_zero():
+            dmap[si] = ham
+    return JacobiOp0(n, m, caa, dmap)
 
 
 def oracle_validate_jacobi0(op, probe_degree=2):

@@ -23,8 +23,8 @@ from diolic.brackets import (BiDer0, BiDerNeg1, JacobiNeg1, JacobiOp0,
                              jacobi_neg1_residuals, schouten_probe_suite)
 
 from helpers import (oracle_is_jacobi0, oracle_is_lie_algebroid,
-                     oracle_jacobi_neg1_residuals, oracle_schouten_probe_suite,
-                     oracle_validate_jacobi0)
+                     oracle_jacobi_from_poisson, oracle_jacobi_neg1_residuals,
+                     oracle_schouten_probe_suite, oracle_validate_jacobi0)
 from test_acceptance import (Budget, _broken_bundle, _so3_bundle,
                              _suite_structures, _tangent)
 
@@ -95,6 +95,14 @@ def test_suite_structure_matches_oracles(index):
     lift = jacobi_from_poisson(pi)
     assert_agrees(is_jacobi0(lift),
                   oracle_is_jacobi0(lift, probe_degree=2 if pi.n > 2 else 3))
+
+
+@pytest.mark.parametrize("pi", _shipped("poisson0") + [
+    pytest.param(pi, id="suite-%d" % i) for i, pi in enumerate(_suite_structures())])
+def test_jacobi_from_poisson_matches_hand_assembled_lift(pi):
+    lift, oracle = jacobi_from_poisson(pi), oracle_jacobi_from_poisson(pi)
+    assert list(lift.caa.items()) == list(oracle.caa.items())
+    assert list(lift.dmap.items()) == list(oracle.dmap.items())
 
 
 @pytest.mark.parametrize("pi", _shipped("poisson0") + [

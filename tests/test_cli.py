@@ -10,7 +10,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diolic.cli import DEFAULT_CAPS, canonical_problem_json, main
+from diolic.cli import DEFAULT_CAPS, build_parser, canonical_problem_json, main
 from diolic.complexes import der_cochain_dimensions
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
@@ -311,6 +311,20 @@ def test_main_in_process():
     assert main(["cohomology", "--der", "1", "1", "1"]) == 0
     assert main(["check", os.path.join(PROBLEMS, "poisson_so3.json")]) == 0
     assert main(["check", os.path.join(PROBLEMS, "ce_invalid_rep.json")]) == 1
+
+
+def test_main_reuses_one_parser_across_calls(capsys):
+    # a usage error leaves the shared parser fit for the next call
+    with pytest.raises(SystemExit) as exc:
+        main(["check"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["bracket", "--kind", "symbol", "k1", "x1*k1"]) == 0
+    first = capsys.readouterr().out
+    assert main(["--pretty", "bracket", "--kind", "symbol", "k1", "x1*k1"]) == 0
+    assert main(["bracket", "--kind", "symbol", "k1", "x1*k1"]) == 0
+    assert capsys.readouterr().out.endswith(first)
+    assert build_parser() is build_parser()
 
 
 def test_route_disagreement_exits_4(monkeypatch):

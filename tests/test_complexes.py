@@ -241,6 +241,17 @@ def test_cedata_validates_shapes():
         CEData(1, [[[1]]], 1, [[[0]]])  # c must be antisymmetric
 
 
+def test_cedata_stores_rationals_as_poly_does():
+    l = CEData(1, [[[Fraction(0)]]], 1, [[[Fraction(4, 2)]]])
+    assert type(l.rho[0][0][0]) is int and l.rho[0][0][0] == 2
+    assert CEData(1, [[[0]]], 1, [[[Fraction(1, 3)]]]).rho[0][0][0] == Fraction(1, 3)
+    for bad in (0.1, True, "1/2"):
+        with pytest.raises(ValueError):
+            CEData(1, [[[0]]], 1, [[[bad]]])
+    with pytest.raises(ValueError):
+        CEData(1, [[[0.0]]], 1, [[[0]]])
+
+
 # -- the weight-0 subcomplex and the sparse check against their oracles ------
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")

@@ -382,6 +382,13 @@ def test_check_phi_der_detects_defect():
     assert not check_phi_der(mod, xa, xp)
 
 
+def test_check_phi_der_probes_up_to_the_order_of_xp():
+    # XP = d^3 on P = A: the defect at a = x^3, p = e_1 is d^3(x^3) = 6,
+    # and no monomial of degree <= 2 sees it
+    mod = TruncatedDiolicModule.self_module(1, 1)
+    assert not check_phi_der(mod, [ScalarOp.zero(1)], [[ScalarOp.partial_sigma(1, (3,))]])
+
+
 def test_check_phi_der_rejects_non_derivation():
     n, m = 1, 1
     mod = TruncatedDiolicModule.self_module(n, m)

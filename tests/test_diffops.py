@@ -7,9 +7,9 @@ from diolic.diffops import (DiffOp0, DiffOp1, DiffOpNeg1, atiyah_project,
                             atiyah_split, beta_diff, check_k_connection,
                             graded_commutator_diff, verify_diolic_diffop)
 
-from helpers import (rng, rand_diffop0, rand_diffop1, rand_diffopneg1,
-                     rand_poly, rand_poly_vec, rand_scalar_op,
-                     rand_matrix_op)
+from helpers import (oracle_verify_diolic_diffop, rng, rand_diffop0,
+                     rand_diffop1, rand_diffopneg1, rand_poly, rand_poly_vec,
+                     rand_scalar_op, rand_matrix_op)
 
 
 def test_apply_example():
@@ -65,6 +65,37 @@ def test_every_diffop_passes_own_verification():
         n, m, k = r.randint(1, 2), r.randint(1, 2), r.randint(0, 3)
         b = rand_diffop0(r, n, m, k)
         assert verify_diolic_diffop(b.boxA, b.boxP(), k)
+
+
+def _raw_pair(r, n, m, k):
+    """A raw pair (boxA, boxP) at order k: boxA*I plus a matrix part of
+    order <= k-1 (valid), of order <= k (mostly invalid), or with a part
+    one order too high (rejected before any nest)."""
+    box = rand_scalar_op(r, n, k)
+    kind = r.choice(["valid", "valid", "top", "high"])
+    if kind == "valid":
+        extra = rand_matrix_op(r, n, m, k - 1) if k else MatrixOp.zero(n, m)
+    elif kind == "top":
+        extra = rand_matrix_op(r, n, m, k)
+    else:
+        extra = MatrixOp.zero(n, m)
+        if r.random() < 0.5:
+            box = box + ScalarOp.partial_sigma(n, (k + 1,) + (0,) * (n - 1))
+        else:
+            extra = rand_matrix_op(r, n, m, k + 1)
+    return box, MatrixOp.scalar_times_identity(box, m) + extra
+
+
+def test_verify_diolic_diffop_matches_diagonal_nest_oracle():
+    r = rng(29)
+    verdicts = []
+    for _ in range(120):
+        n, m, k = r.randint(1, 2), r.randint(1, 2), r.randint(0, 3)
+        box, boxp = _raw_pair(r, n, m, k)
+        verdict = verify_diolic_diffop(box, boxp, k)
+        assert verdict == oracle_verify_diolic_diffop(box, boxp, k)
+        verdicts.append(verdict)
+    assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
 
 
 def test_commutator_degree_01_example():

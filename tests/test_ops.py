@@ -161,6 +161,20 @@ def test_verify_order_matrix():
     assert verify_order(mop, 2)
 
 
+def test_verify_order_minus_one_is_zero_test():
+    r = rng(59)
+    ops = [ScalarOp.zero(2), MatrixOp.zero(2, 2), ScalarOp.mult(Poly.one(1)),
+           MatrixOp(1, [[ScalarOp.zero(1), ScalarOp.partial(1, 1)],
+                        [ScalarOp.zero(1), ScalarOp.zero(1)]])]
+    for _ in range(10):
+        n = r.randint(1, 2)
+        ops += [rand_scalar_op(r, n, 2), rand_matrix_op(r, n, 2, 1)]
+    for op in ops:
+        assert verify_order(op, -1) == op.is_zero()
+    with pytest.raises(ValueError):
+        verify_order(ScalarOp.zero(1), -2)
+
+
 def test_matrix_apply_examples():
     n, m = 1, 2
     x1 = Poly.var(n, 1)
