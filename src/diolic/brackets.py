@@ -54,6 +54,7 @@ class _Bracket0:
     """Dispatch of a degree-0 bracket given by its eval_aa and eval_ap."""
 
     __slots__ = ()
+    grade = 0
 
     def eval(self, z1, z2):
         """Dispatch on homogeneous arguments (Poly or PolyVec)."""
@@ -191,6 +192,7 @@ class BiDerNeg1:
     """
 
     __slots__ = ("n", "m", "rho", "c")
+    grade = -1
 
     def __init__(self, rho, c):
         rho = tuple(rho)
@@ -284,21 +286,19 @@ class BiDerNeg2:
 # the Jacobiator and the Schouten square
 
 
-def _gdeg_of(z):
-    return 1 if isinstance(z, PolyVec) else 0
-
-
 def jacobiator0(b, z1, z2, z3):
-    """Jac(z1, z2, z3) = B(B(z1,z2),z3) - B(z1,B(z2,z3)) + (-1)^(g1 g2) B(z2,B(z1,z3)).
+    """Jac(z1, z2, z3) = B(B(z1,z2),z3) - B(z1,B(z2,z3)) + e B(z2,B(z1,z3))
+    for a bracket B of degree s = b.grade, with e = (-1)^((g1+s)(g2+s)).
 
-    For all-even arguments this is the cyclic Jacobiator; the sign on the
-    third term is the one compatible with graded skewness of the bracket.
+    For all-even arguments of a degree-0 bracket this is the cyclic
+    Jacobiator; e is the sign compatible with graded skewness of B, which
+    is skew in the shifted degrees g + s of its arguments.
     """
-    g1, g2 = _gdeg_of(z1), _gdeg_of(z2)
+    s = b.grade
     out = b.eval(b.eval(z1, z2), z3)
     out = out - b.eval(z1, b.eval(z2, z3))
     term = b.eval(z2, b.eval(z1, z3))
-    return out + term if (-1) ** (g1 * g2) > 0 else out - term
+    return out - term if (z1.grade + s) * (z2.grade + s) % 2 else out + term
 
 
 def _homogeneous(z):
@@ -328,7 +328,7 @@ def _last_slot_derivation(pi, z1, z2):
     when z1 and z2 lie in A, a Der1 when one of them lies in P."""
     n, m = pi.n, pi.m
     xs = [2 * jacobiator0(pi, z1, z2, Poly.var(n, i + 1)) for i in range(n)]
-    if isinstance(z1, Poly) and isinstance(z2, Poly):
+    if z1.grade + z2.grade == 0:
         cols = [2 * jacobiator0(pi, z1, z2, PolyVec.basis(n, m, j)) for j in range(m)]
         g = PolyMat(n, [[cols[j].comps[i] for j in range(m)] for i in range(m)])
         return Der0(VectorField(n, xs), g)
@@ -372,8 +372,7 @@ def schouten_probe_suite(pi, degree=2):
         return []
 
     def last_slot(z1, z2):
-        out = Der0.zero(n, m) if isinstance(z1, Poly) and isinstance(z2, Poly) \
-            else Der1.zero(n, m)
+        out = Der0.zero(n, m) if z1.grade + z2.grade == 0 else Der1.zero(n, m)
         for k, c1 in _leibniz_terms(z1, n):
             for l, c2 in _leibniz_terms(z2, n):
                 d = table.get((k, l))
@@ -605,7 +604,7 @@ def is_jacobi0(b):
         evaluation rules gives the two placements of e_j in another slot
         the same value up to sign, so they add nothing;
       * jacobi_pde[i,j](e_k) = J(x_i, x_j, e_k), the first-order
-        compatibility PDE on coordinate pairs.
+        compatibility PDE on coordinate pairs, read back from the P-part.
 
     Constant sections suffice for the P-part.  With S(a, b) = Pi(a, b) -
     b Pi(a, 1), the construction identity Pi(a, bp) = b Pi(a, p) + S(a, b) p
@@ -620,21 +619,21 @@ def is_jacobi0(b):
     residuals = _jacobiator_triples(b.eval_aa, monos, aa)
     sections = [(PolyVec.basis(n, m, j), "e%d" % (j + 1)) for j in range(m)]
     ap = [[b.eval_ap(a, p) for p, _ in sections] for _, a in monos]
+    p_part = {}  # (a1 label, a2 label, e_j label) -> J(a1, a2, e_j), zeros kept
     for i1, i2 in itertools.combinations(range(len(monos)), 2):
         (l1, a1), (l2, a2) = monos[i1], monos[i2]
         a12 = aa[i1][i2]
         for jp, (p, lbl) in enumerate(sections):
             v = b.eval_ap(a12, p) - b.eval_ap(a1, ap[i2][jp]) \
                 + b.eval_ap(a2, ap[i1][jp])
+            p_part[l1, l2, lbl] = v
             if not v.is_zero():
                 residuals.append(("jacobiator(%s; %s; %s)" % (l1, l2, lbl), v))
 
-    x = [Poly.var(n, i + 1) for i in range(n)]
+    x = [str(Poly.var(n, i + 1)) for i in range(n)]
     for i, j in itertools.combinations(range(n), 2):
-        for p, lbl in sections:
-            v = (b.eval_ap(b.eval_aa(x[i], x[j]), p)
-                 - b.eval_ap(x[i], b.eval_ap(x[j], p))
-                 + b.eval_ap(x[j], b.eval_ap(x[i], p)))
+        for _, lbl in sections:
+            v = p_part[x[i], x[j], lbl]
             if not v.is_zero():
                 residuals.append(("jacobi_pde[%d,%d](%s)" % (i + 1, j + 1, lbl), v))
 
@@ -681,20 +680,6 @@ def jacobi_from_poisson(pi):
     dmap = {si: pi.hamiltonian(Poly.var(n, i + 1)).to_matrix_op()
             for i, si in enumerate(basis)}
     return JacobiOp0(n, pi.m, caa, dmap)
-
-
-def jacobiator_neg1_graded(l, z1, z2, z3):
-    """Graded Jacobiator of the degree -1 bracket carried by algebroid data.
-
-    Uses the shifted sign (-1)^((g1-1)(g2-1)) appropriate for a bracket of
-    internal degree -1.  (When both of the first two arguments come from A
-    every term vanishes outright, so the odd case is vacuous.)
-    """
-    sgn = (-1) ** ((_gdeg_of(z1) - 1) * (_gdeg_of(z2) - 1))
-    out = l.eval(l.eval(z1, z2), z3)
-    out = out - l.eval(z1, l.eval(z2, z3))
-    term = l.eval(z2, l.eval(z1, z3))
-    return out + term if sgn > 0 else out - term
 
 
 def _adjoint_curvature(l, alpha, beta):

@@ -321,7 +321,7 @@ def _all_zero(residuals):
 
 
 def _check_ce(l):
-    # the cochain cap of `cohomology --ce` also bounds the validity check
+    # refuse what `cohomology --ce` refuses; the check caps its own products
     check_cap(ce_cochain_dimensions(l))
     return _all_zero(diolic_lie_residuals(l))
 
@@ -546,7 +546,7 @@ def cmd_cohomology(ce_path, der_args, caps):
         kind, l = parse_problem(_load(ce_path), caps)
         if kind != "ce":
             raise InputError("cohomology --ce expects a ce problem file")
-        # the cap first: the validity check costs r^2 d1^3 products
+        # the cochain cap first; the validity check then caps its own products
         dims = ce_cochain_dimensions(l)
         check_cap(dims)
         if not diolic_lie_check(l):

@@ -70,12 +70,14 @@ from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
 from math import comb
-from operator import add
+from operator import add, mul
 
 from .poly import _rational, monomials_up_to
 
 # largest cochain space either complex may assemble
 MAX_COCHAIN_DIM = 20000
+# most scalar products the Lie data check may multiply
+MAX_LIE_PRODUCTS = 10 ** 6
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -171,7 +173,8 @@ def diolic_lie_residuals(l):
 
     Both are summed over the nonzero structure constants and the nonzero
     entries of the rho columns only; representation[j,i] is the negation
-    of representation[i,j], computed once."""
+    of representation[i,j], computed once.  Raises ResourceCapError before
+    any product if they would take more than MAX_LIE_PRODUCTS of them."""
     r, d1, cols = l.r, l.d1, l._cols
     # pairs[i][j]: the (t, c[i][j][t]) with c[i][j][t] != 0
     pairs = [[[] for _ in range(r)] for _ in range(r)]
@@ -179,6 +182,10 @@ def diolic_lie_residuals(l):
         for i, j, v in brackets:
             pairs[i][j].append((t, v))
             pairs[j][i].append((t, -v))
+    products = _lie_products(l, pairs)
+    if products > MAX_LIE_PRODUCTS:
+        raise ResourceCapError("the Lie data check needs %d scalar products, cap %d"
+                               % (products, MAX_LIE_PRODUCTS))
     out = []
     for i, j, k in itertools.combinations(range(r), 3):
         # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
@@ -218,6 +225,19 @@ def diolic_lie_residuals(l):
                             str([[str(sign * diff[a, b]) for b in range(d1)]
                                  for a in range(d1)])))
     return out
+
+
+def _lie_products(l, pairs):
+    """The number of scalar products `diolic_lie_residuals` multiplies,
+    counted from the nonzero entries alone."""
+    col_nnz = [list(map(len, cols)) for cols in l._cols]
+    row_nnz = [[sum(map(bool, row)) for row in mat] for mat in l.rho]
+    count = sum(len(pairs[t][w]) for i, j, k in itertools.combinations(range(l.r), 3)
+                for u, v, w in ((i, j, k), (j, k, i), (k, i, j)) for t, _ in pairs[u][v])
+    for i, j in itertools.combinations(range(l.r), 2):
+        count += sum(sum(col_nnz[k]) for k, _ in pairs[i][j])
+        count += sum(map(mul, row_nnz[j], col_nnz[i])) + sum(map(mul, row_nnz[i], col_nnz[j]))
+    return count
 
 
 def diolic_lie_check(l):

@@ -9,6 +9,9 @@ degree 1, with P*P = 0.  Its homogeneous derivations live in degrees
   * degree 1: P-valued derivations of A, an m-tuple of vector fields;
   * degree -1: A-linear functionals P -> A, which exist only when m = 1.
 
+Each class holds its degree in the class attribute `grade`; the graded
+commutator takes its operand order and skew sign from `ops.graded_operands`,
+the rule [y, x] = -(-1)^(|x||y|) [x, y] of the operator and symbol brackets.
 Every commutator computed from the split coordinate formulas is
 re-verified here against compose-and-subtract of the underlying
 operators; in normal form that comparison is an exact identity check.
@@ -19,7 +22,7 @@ from __future__ import annotations
 import itertools
 
 from .poly import Poly, PolyMat, PolyVec, _Linear, monomials_up_to
-from .ops import MatrixOp, RouteError, ScalarOp, VectorField
+from .ops import MatrixOp, RouteError, ScalarOp, VectorField, graded_operands
 
 
 class DiolicElement(_Linear):
@@ -67,6 +70,7 @@ class Der0(_Linear):
     """Degree-0 derivation: X on A, X + G on P."""
 
     __slots__ = ("n", "m", "X", "G")
+    grade = 0
 
     def __init__(self, X, G):
         if not isinstance(X, VectorField) or not isinstance(G, PolyMat) or X.n != G.n:
@@ -115,6 +119,7 @@ class Der1(_Linear):
     """Degree-1 derivation a -> sum_alpha Z^alpha(a) e_alpha; kills P."""
 
     __slots__ = ("n", "m", "Z")
+    grade = 1
 
     def __init__(self, Z):
         Z = tuple(Z)
@@ -164,6 +169,7 @@ class DerNeg1(_Linear):
     """
 
     __slots__ = ("n", "m", "phi")
+    grade = -1
 
     def __init__(self, phi):
         phi = tuple(phi)
@@ -231,16 +237,6 @@ def rank_one_obstruction(m):
     return forced
 
 
-def degree_of(d):
-    if isinstance(d, Der0):
-        return 0
-    if isinstance(d, Der1):
-        return 1
-    if isinstance(d, DerNeg1):
-        return -1
-    raise TypeError("not a homogeneous diolic derivation: %r" % (d,))
-
-
 def symbol_sigma(d):
     """Projection of a degree-0 derivation onto its vector-field part."""
     if not isinstance(d, Der0):
@@ -267,16 +263,6 @@ def p_action(p, d):
 # commutators
 
 
-def _column_compose_matrix(mat, col):
-    # (M o col)_a = sum_b M_ab o col_b : operators A -> P
-    return [sum((mat.entries[a][b] @ col[b] for b in range(mat.m)),
-                ScalarOp.zero(mat.n)) for a in range(mat.m)]
-
-
-def _column_compose_scalar(col, s):
-    return [c @ s for c in col]
-
-
 def _verify(cond, what):
     if not cond:
         raise RouteError("commutator formula disagrees with "
@@ -292,66 +278,49 @@ def graded_commutator_der(d1, d2):
     """
     if d1 == 0 or d2 == 0:
         return 0
-    g1, g2 = degree_of(d1), degree_of(d2)
-    if d1.n != d2.n or (g1 != -1 and g2 != -1 and d1.m != d2.m):
-        raise ValueError("dimension mismatch")
-    n = d1.n
-
-    if (g1, g2) == (0, 0):
-        X, Y, G, H = d1.X, d2.X, d1.G, d2.G
-        out = Der0(X.bracket(Y), X(H) - Y(G) + G.commutator(H))
-        lhs = d1.to_matrix_op() @ d2.to_matrix_op() - d2.to_matrix_op() @ d1.to_matrix_op()
-        _verify(lhs == out.to_matrix_op(), "Der0/Der0")
-        return out
-
-    if (g1, g2) in ((0, 1), (1, 0)):
-        d0, z, sign = (d1, d2, 1) if g1 == 0 else (d2, d1, -1)
-        comps = []
-        for alpha in range(d0.m):
-            v = d0.X.bracket(z.Z[alpha])
-            for beta in range(d0.m):
-                v = v + d0.G.rows[alpha][beta] * z.Z[beta]
-            comps.append(v)
-        out = Der1(comps)
-        # A -> P check: d0^P o Z - Z o d0^A
-        raw = [a - b for a, b in zip(
-            _column_compose_matrix(d0.to_matrix_op(), z.to_column()),
-            _column_compose_scalar(z.to_column(), d0.X.to_scalar_op()))]
-        _verify(raw == out.to_column(), "Der0/Der1")
-        return out if sign > 0 else -out
-
-    if (g1, g2) == (1, 1) or (g1, g2) == (-1, -1):
+    pair = graded_operands(d1, d2)
+    if pair is None:
         return 0
+    u, v, sign = pair
+    grades = (u.grade, v.grade)
 
-    if (g1, g2) in ((0, -1), (-1, 0)):
-        d0, phi, sign = (d1, d2, 1) if g1 == 0 else (d2, d1, -1)
-        if d0.m != 1:
-            raise ValueError("degree -1 requires rank 1")
-        f = phi.phi[0]
-        g = d0.G.rows[0][0]
-        out = DerNeg1([d0.X(f) - f * g])
-        # P -> A check: d0^A o phi - phi o d0^P
-        raw = (d0.X.to_scalar_op() @ phi.to_scalar_op()
-               - phi.to_scalar_op() @ (d0.X.to_scalar_op() + ScalarOp.mult(g)))
+    if grades == (0, 0):
+        X, Y, G, H = u.X, v.X, u.G, v.G
+        out = Der0(X.bracket(Y), X(H) - Y(G) + G.commutator(H))
+        lhs = u.to_matrix_op() @ v.to_matrix_op() - v.to_matrix_op() @ u.to_matrix_op()
+        _verify(lhs == out.to_matrix_op(), "Der0/Der0")
+    elif grades == (0, 1):
+        comps = []
+        for alpha in range(u.m):
+            w = u.X.bracket(v.Z[alpha])
+            for beta in range(u.m):
+                w = w + u.G.rows[alpha][beta] * v.Z[beta]
+            comps.append(w)
+        out = Der1(comps)
+        # A -> P check: u^P o Z - Z o u^A, entry a: sum_b u^P_ab o Z_b - Z_a o u^A
+        up, col, ua = u.to_matrix_op(), v.to_column(), u.X.to_scalar_op()
+        raw = [sum((up.entries[a][b] @ col[b] for b in range(u.m)), ScalarOp.zero(u.n))
+               - col[a] @ ua for a in range(u.m)]
+        _verify(raw == out.to_column(), "Der0/Der1")
+    elif grades == (0, -1):
+        f = v.phi[0]
+        g = u.G.rows[0][0]
+        out = DerNeg1([u.X(f) - f * g])
+        # P -> A check: u^A o phi - phi o u^P
+        raw = (u.X.to_scalar_op() @ v.to_scalar_op()
+               - v.to_scalar_op() @ (u.X.to_scalar_op() + ScalarOp.mult(g)))
         _verify(raw == out.to_scalar_op(), "Der0/DerNeg1")
-        return out if sign > 0 else -out
-
-    if (g1, g2) in ((1, -1), (-1, 1)):
-        z, phi = (d1, d2) if g1 == 1 else (d2, d1)
-        if z.m != 1:
-            raise ValueError("degree -1 requires rank 1")
-        f = phi.phi[0]
-        zvf = z.Z[0]
-        out = Der0(f * zvf, PolyMat(n, [[zvf(f)]]))
+    else:
+        f = v.phi[0]
+        zvf = u.Z[0]
+        out = Der0(f * zvf, PolyMat(u.n, [[zvf(f)]]))
         # odd-odd bracket is the anticommutator; its two composites act on
         # the two homogeneous components: phi o Z on A, Z o phi on P
         raw_a = ScalarOp.mult(f) @ zvf.to_scalar_op()
         raw_p = zvf.to_scalar_op() @ ScalarOp.mult(f)
         _verify(raw_a == out.X.to_scalar_op()
                 and raw_p == out.to_matrix_op().entries[0][0], "Der1/DerNeg1")
-        return out
-
-    raise RouteError("unhandled degree pair (%d, %d)" % (g1, g2))
+    return out if sign > 0 else -out
 
 
 # ---------------------------------------------------------------------------
@@ -397,86 +366,51 @@ def artificial_der(kind, d, d2=None, k=None):
         if k is None:
             raise ValueError("kind %r needs the power k" % kind)
 
-    n, X = d.n, d.X
-    z = Poly.zero(n)
-
     if kind == "sum":
-        return Der0(X, PolyMat.block_diag(d.G, d2.G))
-
+        return Der0(d.X, PolyMat.block_diag(d.G, d2.G))
     if kind == "tensor":
-        basis = tensor_basis(d.m, d2.m)
-        pos = {b: i for i, b in enumerate(basis)}
-        rows = [[z] * len(basis) for _ in range(len(basis))]
-        for (gamma, delta_) in basis:
-            col = pos[(gamma, delta_)]
-            for alpha in range(d.m):
-                rows[pos[(alpha, delta_)]][col] = rows[pos[(alpha, delta_)]][col] + d.G.rows[alpha][gamma]
-            for beta in range(d2.m):
-                rows[pos[(gamma, beta)]][col] = rows[pos[(gamma, beta)]][col] + d2.G.rows[beta][delta_]
-        return Der0(X, PolyMat(n, rows))
-
+        return _induced(d, tensor_basis(d.m, d2.m), [d.G, d2.G], lambda w: (1, w))
     if kind == "hom":
-        # Hom(d, d2)(u^{beta,alpha}) = d2 o u - u o d in the basis u^{nu,mu}
-        basis = hom_basis(d.m, d2.m)
-        pos = {b: i for i, b in enumerate(basis)}
-        rows = [[z] * len(basis) for _ in range(len(basis))]
-        for (beta, alpha) in basis:
-            col = pos[(beta, alpha)]
-            for nu in range(d2.m):
-                rows[pos[(nu, alpha)]][col] = rows[pos[(nu, alpha)]][col] + d2.G.rows[nu][beta]
-            for mu in range(d.m):
-                rows[pos[(beta, mu)]][col] = rows[pos[(beta, mu)]][col] - d.G.rows[alpha][mu]
-        return Der0(X, PolyMat(n, rows))
-
+        # Hom(d, d2)(u) = d2 o u - u o d: the source slot takes -G^T
+        minus_gt = PolyMat(d.n, zip(*(-d.G).rows))
+        return _induced(d, hom_basis(d.m, d2.m), [d2.G, minus_gt], lambda w: (1, w))
     if kind == "wedge":
         if not 0 <= k <= d.m:
             raise ValueError("wedge power out of range")
-        basis = wedge_basis(d.m, k)
-        pos = {b: i for i, b in enumerate(basis)}
-        rows = [[z] * len(basis) for _ in range(len(basis))]
-        for idx in basis:
-            col = pos[idx]
-            for t in range(k):
-                for mu in range(d.m):
-                    g = d.G.rows[mu][idx[t]]
-                    if g.is_zero():
-                        continue
-                    word = idx[:t] + (mu,) + idx[t + 1:]
-                    if len(set(word)) < k:
-                        continue
-                    sign, sorted_word = _sort_with_sign(word)
-                    row = pos[sorted_word]
-                    rows[row][col] = rows[row][col] + sign * g
-        return Der0(X, PolyMat(n, rows))
-
-    # kind == "sym"
+        return _induced(d, wedge_basis(d.m, k), [d.G] * k, _sort_with_sign)
     if k < 0:
         raise ValueError("symmetric power out of range")
-    basis = sym_basis(d.m, k)
+    return _induced(d, sym_basis(d.m, k), [d.G] * k, lambda w: (1, tuple(sorted(w))))
+
+
+def _induced(d, basis, slot_matrices, normalise):
+    """Der0 (X, G') on the free module with the given basis of index words:
+    G' sends the word w to the sum over slots t and letters mu of
+    slot_matrices[t][mu][w[t]] times the word with mu in slot t, brought
+    into the basis by normalise(word) -> (sign, basis word); sign 0 drops it.
+    """
     pos = {b: i for i, b in enumerate(basis)}
-    rows = [[z] * len(basis) for _ in range(len(basis))]
-    for idx in basis:
-        col = pos[idx]
-        for t in range(k):
-            for mu in range(d.m):
-                g = d.G.rows[mu][idx[t]]
-                if g.is_zero():
+    z = Poly.zero(d.n)
+    rows = [[z] * len(basis) for _ in basis]
+    for col, word in enumerate(basis):
+        for t, g in enumerate(slot_matrices):
+            for mu in range(g.m):
+                c = g.rows[mu][word[t]]
+                if c.is_zero():
                     continue
-                word = tuple(sorted(idx[:t] + (mu,) + idx[t + 1:]))
-                rows[pos[word]][col] = rows[pos[word]][col] + g
-    return Der0(X, PolyMat(n, rows))
+                sign, target = normalise(word[:t] + (mu,) + word[t + 1:])
+                if sign:
+                    rows[pos[target]][col] += sign * c
+    return Der0(d.X, PolyMat(d.n, rows))
 
 
 def _sort_with_sign(idx):
-    """Sort a tuple; return the sign of the sorting permutation with it."""
-    idx = list(idx)
-    sign = 1
-    for i in range(len(idx)):
-        for j in range(len(idx) - 1 - i):
-            if idx[j] > idx[j + 1]:
-                idx[j], idx[j + 1] = idx[j + 1], idx[j]
-                sign = -sign
-    return sign, tuple(idx)
+    """Sort a tuple; return the sign of the sorting permutation (the parity
+    of its inversions) with it, or 0 when an index repeats."""
+    if len(set(idx)) < len(idx):
+        return 0, idx
+    inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
+    return (-1) ** inversions, tuple(sorted(idx))
 
 
 # ---------------------------------------------------------------------------

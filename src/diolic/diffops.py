@@ -9,13 +9,14 @@ iff boxP - boxA*I has order <= k-1, equivalently iff the k-fold
 delta-nests of both parts agree.
 
 Degree 1 operators of order k are columns of scalar operators A -> P;
-degree -1 operators (P -> A) exist only at rank 1.
+degree -1 operators (P -> A) exist only at rank 1.  Each class holds its
+degree in `grade`; the commutator orders its operands by `ops.graded_operands`.
 """
 
 from __future__ import annotations
 
 from .poly import Poly, PolyVec, _Linear, monomials_up_to
-from .ops import MatrixOp, ScalarOp, verify_order
+from .ops import MatrixOp, ScalarOp, graded_operands, verify_order
 from .derivations import DiolicElement, _verify
 
 
@@ -28,6 +29,7 @@ class DiffOp0(_Linear):
     """Degree-0 operator boxA*I + M of order k in split normal form."""
 
     __slots__ = ("n", "m", "k", "boxA", "M")
+    grade = 0
 
     def __init__(self, k, boxA, M):
         if not isinstance(boxA, ScalarOp) or not isinstance(M, MatrixOp):
@@ -91,6 +93,7 @@ class DiffOp1(_Linear):
     """Degree-1 operator A -> P of order k: a column of scalar operators."""
 
     __slots__ = ("n", "m", "k", "ops")
+    grade = 1
 
     def __init__(self, k, ops):
         ops = tuple(ops)
@@ -143,6 +146,7 @@ class DiffOpNeg1(_Linear):
     """Degree -1 operator P -> A of order k; exists only at rank 1."""
 
     __slots__ = ("n", "m", "k", "op")
+    grade = -1
 
     def __init__(self, k, op, m=1):
         if m != 1:
@@ -249,16 +253,6 @@ def check_k_connection(nabla, k, n, m):
     return True
 
 
-def _degree(b):
-    if isinstance(b, DiffOp0):
-        return 0
-    if isinstance(b, DiffOp1):
-        return 1
-    if isinstance(b, DiffOpNeg1):
-        return -1
-    raise TypeError("not a homogeneous diolic operator: %r" % (b,))
-
-
 def graded_commutator_diff(b1, b2):
     """Graded commutator of homogeneous operators, split-form output.
 
@@ -268,58 +262,42 @@ def graded_commutator_diff(b1, b2):
     """
     if b1 == 0 or b2 == 0:
         return 0
-    g1, g2 = _degree(b1), _degree(b2)
-    if b1.n != b2.n or (g1 != -1 and g2 != -1 and b1.m != b2.m):
-        raise ValueError("dimension mismatch")
-    n = b1.n
-
-    if (g1, g2) == (0, 0):
-        k, l = b1.k, b2.k
-        boxA = b1.boxA @ b2.boxA - b2.boxA @ b1.boxA
-        eye1 = MatrixOp.scalar_times_identity(b1.boxA, b1.m)
-        eye2 = MatrixOp.scalar_times_identity(b2.boxA, b1.m)
-        mat = (eye1 @ b2.M - b2.M @ eye1) + (b1.M @ eye2 - eye2 @ b1.M) \
-            + (b1.M @ b2.M - b2.M @ b1.M)
-        out = DiffOp0(max(k + l - 1, 0), boxA, mat)
-        raw = b1.boxP() @ b2.boxP() - b2.boxP() @ b1.boxP()
-        _verify(raw == out.boxP(), "DiffOp0/DiffOp0")
-        return out
-
-    if (g1, g2) in ((0, 1), (1, 0)):
-        b0, b1d, sign = (b1, b2, 1) if g1 == 0 else (b2, b1, -1)
-        k, l = b0.k, b1d.k
-        comps = []
-        for j in range(b0.m):
-            c = b0.boxA @ b1d.ops[j] - b1d.ops[j] @ b0.boxA
-            for beta in range(b0.m):
-                c = c + b0.M.entries[j][beta] @ b1d.ops[beta]
-            comps.append(c)
-        out = DiffOp1(max(k + l - 1, 0), comps)
-        raw = [sum((b0.boxP().entries[j][beta] @ b1d.ops[beta] for beta in range(b0.m)),
-                   ScalarOp.zero(n)) - b1d.ops[j] @ b0.boxA for j in range(b0.m)]
-        _verify(tuple(raw) == out.ops, "DiffOp0/DiffOp1")
-        return out if sign > 0 else -out
-
-    if (g1, g2) in ((1, 1), (-1, -1)):
+    pair = graded_operands(b1, b2)
+    if pair is None:
         return 0
+    u, v, sign = pair
+    grades = (u.grade, v.grade)
 
-    if (g1, g2) in ((0, -1), (-1, 0)):
-        b0, bn, sign = (b1, b2, 1) if g1 == 0 else (b2, b1, -1)
-        if b0.m != 1:
-            raise ValueError("degree -1 requires rank 1")
-        box, op = b0.boxA, bn.op
-        out = DiffOpNeg1(max(b0.k + bn.k - 1, 0),
-                         box @ op - op @ box - op @ b0.M.entries[0][0])
+    if grades == (0, 0):
+        boxA = u.boxA @ v.boxA - v.boxA @ u.boxA
+        eye1 = MatrixOp.scalar_times_identity(u.boxA, u.m)
+        eye2 = MatrixOp.scalar_times_identity(v.boxA, u.m)
+        mat = (eye1 @ v.M - v.M @ eye1) + (u.M @ eye2 - eye2 @ u.M) \
+            + (u.M @ v.M - v.M @ u.M)
+        out = DiffOp0(max(u.k + v.k - 1, 0), boxA, mat)
+        raw = u.boxP() @ v.boxP() - v.boxP() @ u.boxP()
+        _verify(raw == out.boxP(), "DiffOp0/DiffOp0")
+    elif grades == (0, 1):
+        comps = []
+        for j in range(u.m):
+            c = u.boxA @ v.ops[j] - v.ops[j] @ u.boxA
+            for beta in range(u.m):
+                c = c + u.M.entries[j][beta] @ v.ops[beta]
+            comps.append(c)
+        out = DiffOp1(max(u.k + v.k - 1, 0), comps)
+        boxP = u.boxP()
+        raw = [sum((boxP.entries[j][beta] @ v.ops[beta] for beta in range(u.m)),
+                   ScalarOp.zero(u.n)) - v.ops[j] @ u.boxA for j in range(u.m)]
+        _verify(tuple(raw) == out.ops, "DiffOp0/DiffOp1")
+    elif grades == (0, -1):
+        box, op = u.boxA, v.op
+        out = DiffOpNeg1(max(u.k + v.k - 1, 0),
+                         box @ op - op @ box - op @ u.M.entries[0][0])
         # P -> A check: boxA o op - op o boxP
-        raw = box @ op - op @ b0.boxP().entries[0][0]
+        raw = box @ op - op @ u.boxP().entries[0][0]
         _verify(raw == out.op, "DiffOp0/DiffOpNeg1")
-        return out if sign > 0 else -out
-
-    # odd-odd mixed pair: anticommutator, degree 0
-    b1d, bn = (b1, b2) if g1 == 1 else (b2, b1)
-    if b1d.m != 1:
-        raise ValueError("degree -1 requires rank 1")
-    boxA = bn.op @ b1d.ops[0]
-    boxP = MatrixOp(n, [[b1d.ops[0] @ bn.op]])
-    out = DiffOp0.from_pair(boxA, boxP, b1d.k + bn.k)
-    return out
+    else:
+        # odd-odd pair: the anticommutator, verified by from_pair
+        out = DiffOp0.from_pair(v.op @ u.ops[0], MatrixOp(u.n, [[u.ops[0] @ v.op]]),
+                                u.k + v.k)
+    return out if sign > 0 else -out

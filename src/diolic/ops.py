@@ -229,6 +229,33 @@ def commutator(op1, op2):
     return op1 @ op2 - op2 @ op1
 
 
+def graded_operands(x, y):
+    """(u, v, sign) with [x, y] = sign [u, v] for a graded bracket of two
+    homogeneous derivations, operators or symbols, or None when the grades
+    (the class attribute `grade`) sum outside {-1, 0, 1}: the bracket is 0.
+
+    Skew-symmetry [y, x] = -(-1)^(|x||y|) [x, y] gives the canonical order
+    (|u|, |v|) in (0, 0), (0, 1), (0, -1), (1, -1).  Raises TypeError unless
+    both operands have a grade and one module (elements of A (+) P are not
+    operands), then ValueError on a dimension mismatch (m is not compared
+    with grade -1) or when grade -1 meets rank m != 1.
+    """
+    gx, gy = getattr(x, "grade", None), getattr(y, "grade", None)
+    if gx is None or gy is None or isinstance(x, (Poly, PolyVec)) \
+            or type(x).__module__ != type(y).__module__:
+        raise TypeError("not homogeneous values of one graded family: %r, %r" % (x, y))
+    if x.n != y.n or (gx != -1 and gy != -1 and x.m != y.m):
+        raise ValueError("dimension mismatch")
+    if abs(gx + gy) > 1:
+        return None
+    sign = 1
+    if gx % 3 > gy % 3:  # the canonical grade order is 0, 1, -1
+        x, y, sign = y, x, (1 if gx * gy % 2 else -1)
+    if y.grade == -1 and x.m != 1:
+        raise ValueError("degree -1 requires rank 1")
+    return x, y, sign
+
+
 def delta(a, op):
     """delta_a(op) = (mult by a) o op - op o (mult by a).
 

@@ -121,6 +121,7 @@ class Poly:
     """Element of Q[x1..xn]: a finite map multi-index -> nonzero rational."""
 
     __slots__ = ("n", "terms")
+    grade = 0
 
     def __init__(self, n, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
@@ -566,6 +567,7 @@ class PolyVec(_Linear):
     """Element of P = A^m: a tuple of m polynomials."""
 
     __slots__ = ("n", "m", "comps")
+    grade = 1
 
     def __init__(self, n, comps):
         comps = tuple(comps)

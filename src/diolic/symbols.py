@@ -11,13 +11,14 @@ is the unique bracket satisfying {smbl(D), smbl(E)} = smbl([D, E]).
 
 Degree-0 diolic symbols are pairs (s, Ms) of a scalar symbol of xi-degree
 k and an m x m matrix of xi-degree k-1 symbols, mirroring the split form
-of degree-0 operators; degree-1 symbols are columns.
+of degree-0 operators; degree-1 symbols are columns.  Each class holds its
+degree in `grade`; the bracket orders its operands by `ops.graded_operands`.
 """
 
 from __future__ import annotations
 
 from .poly import ParseError, Poly, _Linear, format_terms, parse_terms, var_names
-from .ops import RouteError, ScalarOp, delta_nest
+from .ops import RouteError, ScalarOp, delta_nest, graded_operands
 from .derivations import Der0
 from .diffops import DiffOp0, DiffOp1, DiffOpNeg1, _sum_order
 
@@ -159,6 +160,7 @@ class DiolicSymbol0(_Linear):
     """Pair (s, Ms): scalar xi-degree-k symbol plus matrix of degree k-1."""
 
     __slots__ = ("n", "m", "k", "s", "Ms")
+    grade = 0
 
     def __init__(self, k, s, Ms):
         Ms = tuple(tuple(r) for r in Ms)
@@ -196,6 +198,7 @@ class DiolicSymbol1(_Linear):
     """Column of m scalar symbols of xi-degree k."""
 
     __slots__ = ("n", "m", "k", "comps")
+    grade = 1
 
     def __init__(self, k, comps):
         comps = tuple(comps)
@@ -228,6 +231,7 @@ class DiolicSymbolNeg1(_Linear):
     """Scalar symbol of a degree -1 operator (rank 1 only)."""
 
     __slots__ = ("n", "k", "s")
+    grade = -1
 
     def __init__(self, k, s):
         self.n = s.n
@@ -276,17 +280,13 @@ def diolic_poisson_bracket(u, v):
     representative operators, so that the bracket of the symbols equals
     the symbol of the commutator.  Degree sums outside {-1, 0, 1} give 0.
     """
-    if isinstance(u, DiolicSymbol0) and isinstance(v, DiolicSymbol1):
-        comps = []
-        for j in range(v.m):
-            c = poisson_bracket(u.s, v.comps[j])
-            for beta in range(u.m):
-                c = c + u.Ms[j][beta] * v.comps[beta]
-            comps.append(c)
-        return DiolicSymbol1(max(u.k + v.k - 1, 0), comps)
-    if isinstance(u, DiolicSymbol1) and isinstance(v, DiolicSymbol0):
-        return -diolic_poisson_bracket(v, u)
-    if isinstance(u, DiolicSymbol0) and isinstance(v, DiolicSymbol0):
+    pair = graded_operands(u, v)
+    if pair is None:
+        return 0
+    u, v, sign = pair
+    grades = (u.grade, v.grade)
+    k = max(u.k + v.k - 1, 0)
+    if grades == (0, 0):
         s = poisson_bracket(u.s, v.s)
         m = u.m
         Ms = []
@@ -298,19 +298,22 @@ def diolic_poisson_bracket(u, v):
                     e = e + u.Ms[i][l] * v.Ms[l][j] - v.Ms[i][l] * u.Ms[l][j]
                 row.append(e)
             Ms.append(row)
-        return DiolicSymbol0(max(u.k + v.k - 1, 0), s, Ms)
-    if isinstance(u, DiolicSymbol0) and isinstance(v, DiolicSymbolNeg1):
-        if u.m != 1:
-            raise ValueError("degree -1 requires rank 1")
-        return DiolicSymbolNeg1(max(u.k + v.k - 1, 0),
-                                poisson_bracket(u.s, v.s) - v.s * u.Ms[0][0])
-    if isinstance(u, DiolicSymbolNeg1) and isinstance(v, DiolicSymbol0):
-        return -diolic_poisson_bracket(v, u)
-    if isinstance(u, DiolicSymbol1) and isinstance(v, DiolicSymbol1):
-        return 0
-    if isinstance(u, DiolicSymbolNeg1) and isinstance(v, DiolicSymbolNeg1):
-        return 0
-    raise TypeError("unsupported operand pair")
+        out = DiolicSymbol0(k, s, Ms)
+    elif grades == (0, 1):
+        comps = []
+        for j in range(v.m):
+            c = poisson_bracket(u.s, v.comps[j])
+            for beta in range(u.m):
+                c = c + u.Ms[j][beta] * v.comps[beta]
+            comps.append(c)
+        out = DiolicSymbol1(k, comps)
+    elif grades == (0, -1):
+        out = DiolicSymbolNeg1(k, poisson_bracket(u.s, v.s) - v.s * u.Ms[0][0])
+    else:
+        # the anticommutator (phi o Z, Z o phi) has symbols phi Z and {Z, phi}
+        z = u.comps[0]
+        out = DiolicSymbol0(u.k + v.k, z * v.s, [[poisson_bracket(z, v.s)]])
+    return out if sign > 0 else -out
 
 
 def lambda_k(b, args):

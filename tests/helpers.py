@@ -12,7 +12,8 @@ import random
 from diolic.poly import Poly, PolyMat, PolyVec, mi_add, mi_sub, monomials_up_to
 from diolic.ops import (MatrixOp, RouteError, ScalarOp, VectorField, _binom, _subindices,
                         delta)
-from diolic.derivations import Der0, Der1, DerNeg1, DiolicElement
+from diolic.derivations import (Der0, Der1, DerNeg1, DiolicElement, hom_basis,
+                                sym_basis, tensor_basis, wedge_basis)
 from diolic.diffops import DiffOp0, DiffOp1, DiffOpNeg1
 from diolic.brackets import BiDer0, JacobiOp0, _as_diolic, _last_slot_derivation
 from diolic.complexes import (ONE, ZERO, _betti, ce_cochain_dimensions,
@@ -430,3 +431,109 @@ def oracle_compose(self, other):
     out.n = self.n
     out.coeffs = acc
     return out
+
+
+# artificial_der as it was before its four basis loops became one
+
+
+def oracle_artificial_der(kind, d, d2=None, k=None):
+    """Degree-0 derivation induced on a functor of the module P.
+
+    kind is one of "sum", "tensor", "hom" (binary; d2 required, and the
+    vector-field parts of d and d2 must agree) or "wedge", "sym" (unary;
+    k required, 0 <= k <= m for "wedge").  The result acts on the free
+    module with the induced monomial basis and has the shared symbol.
+    """
+    if kind in ("sum", "tensor", "hom"):
+        if d2 is None:
+            raise ValueError("kind %r needs two derivations" % kind)
+        if d.n != d2.n:
+            raise ValueError("dimension mismatch")
+        if d.X != d2.X:
+            raise ValueError("the two derivations must share their symbol")
+    else:
+        if kind not in ("wedge", "sym"):
+            raise ValueError("unknown kind %r" % kind)
+        if k is None:
+            raise ValueError("kind %r needs the power k" % kind)
+
+    n, X = d.n, d.X
+    z = Poly.zero(n)
+
+    if kind == "sum":
+        return Der0(X, PolyMat.block_diag(d.G, d2.G))
+
+    if kind == "tensor":
+        basis = tensor_basis(d.m, d2.m)
+        pos = {b: i for i, b in enumerate(basis)}
+        rows = [[z] * len(basis) for _ in range(len(basis))]
+        for (gamma, delta_) in basis:
+            col = pos[(gamma, delta_)]
+            for alpha in range(d.m):
+                rows[pos[(alpha, delta_)]][col] = rows[pos[(alpha, delta_)]][col] + d.G.rows[alpha][gamma]
+            for beta in range(d2.m):
+                rows[pos[(gamma, beta)]][col] = rows[pos[(gamma, beta)]][col] + d2.G.rows[beta][delta_]
+        return Der0(X, PolyMat(n, rows))
+
+    if kind == "hom":
+        # Hom(d, d2)(u^{beta,alpha}) = d2 o u - u o d in the basis u^{nu,mu}
+        basis = hom_basis(d.m, d2.m)
+        pos = {b: i for i, b in enumerate(basis)}
+        rows = [[z] * len(basis) for _ in range(len(basis))]
+        for (beta, alpha) in basis:
+            col = pos[(beta, alpha)]
+            for nu in range(d2.m):
+                rows[pos[(nu, alpha)]][col] = rows[pos[(nu, alpha)]][col] + d2.G.rows[nu][beta]
+            for mu in range(d.m):
+                rows[pos[(beta, mu)]][col] = rows[pos[(beta, mu)]][col] - d.G.rows[alpha][mu]
+        return Der0(X, PolyMat(n, rows))
+
+    if kind == "wedge":
+        if not 0 <= k <= d.m:
+            raise ValueError("wedge power out of range")
+        basis = wedge_basis(d.m, k)
+        pos = {b: i for i, b in enumerate(basis)}
+        rows = [[z] * len(basis) for _ in range(len(basis))]
+        for idx in basis:
+            col = pos[idx]
+            for t in range(k):
+                for mu in range(d.m):
+                    g = d.G.rows[mu][idx[t]]
+                    if g.is_zero():
+                        continue
+                    word = idx[:t] + (mu,) + idx[t + 1:]
+                    if len(set(word)) < k:
+                        continue
+                    sign, sorted_word = _oracle_sort_with_sign(word)
+                    row = pos[sorted_word]
+                    rows[row][col] = rows[row][col] + sign * g
+        return Der0(X, PolyMat(n, rows))
+
+    # kind == "sym"
+    if k < 0:
+        raise ValueError("symmetric power out of range")
+    basis = sym_basis(d.m, k)
+    pos = {b: i for i, b in enumerate(basis)}
+    rows = [[z] * len(basis) for _ in range(len(basis))]
+    for idx in basis:
+        col = pos[idx]
+        for t in range(k):
+            for mu in range(d.m):
+                g = d.G.rows[mu][idx[t]]
+                if g.is_zero():
+                    continue
+                word = tuple(sorted(idx[:t] + (mu,) + idx[t + 1:]))
+                rows[pos[word]][col] = rows[pos[word]][col] + g
+    return Der0(X, PolyMat(n, rows))
+
+
+def _oracle_sort_with_sign(idx):
+    """Sort a tuple; return the sign of the sorting permutation with it."""
+    idx = list(idx)
+    sign = 1
+    for i in range(len(idx)):
+        for j in range(len(idx) - 1 - i):
+            if idx[j] > idx[j + 1]:
+                idx[j], idx[j + 1] = idx[j + 1], idx[j]
+                sign = -sign
+    return sign, tuple(idx)

@@ -13,8 +13,7 @@ from diolic.brackets import (BiDer0, BiDer1, BiDerNeg1, BiDerNeg2,
                              JacobiNeg1, JacobiOp0, is_jacobi0, is_jacobi_neg1,
                              is_lie_algebroid, is_poisson0,
                              jacobi_from_poisson, jacobiator0,
-                             jacobiator_neg1_graded, schouten_probe_suite,
-                             schouten_self_eval)
+                             schouten_probe_suite, schouten_self_eval)
 
 from helpers import rng, rand_bider0, rand_poly, rand_poly_vec
 
@@ -481,4 +480,4 @@ def test_algebroid_graded_jacobi_via_bracket_recursion():
                     zs.append(rand_poly(r, n, 2))
             if all(isinstance(z, Poly) for z in zs):
                 continue
-            assert jacobiator_neg1_graded(l, *zs).is_zero()
+            assert jacobiator0(l, *zs).is_zero()

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -262,6 +263,22 @@ def test_check_ce_below_cap_is_sparse(tmp_path, capsys):
     assert main(["check", path]) == 0
     assert time.monotonic() - started <= 1.0
     assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("command", [["check"], ["cohomology", "--ce"]])
+def test_ce_validity_check_caps_its_products(tmp_path, capsys, command):
+    # 120/240/120 cochains, far under the cochain cap, but the dense rho
+    # commutator needs about 2.5 million products: 4.4 s (check, exit 1)
+    # and 3.8 s (cohomology --ce, exit 2) before the product cap
+    rnd = random.Random(7)
+    rho = [[[rnd.randint(-3, 3) for _ in range(120)] for _ in range(120)] for _ in range(2)]
+    path = tmp_path / "dense_2x120.json"
+    path.write_text(json.dumps({"kind": "ce", "dim": 2, "rep_dim": 120,
+                                "c": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], "rho": rho}))
+    started = time.monotonic()
+    assert main(command + [str(path)]) == 3
+    assert time.monotonic() - started <= 1.0
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("size", [(3, 3, 1), (3, 2, 1), (3, 2, 2)])

@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from diolic.poly import Poly, PolyVec, monomials_up_to
-from diolic.complexes import (CEData, ResourceCapError, _weight0_bases,
+from diolic.complexes import (CEData, ResourceCapError, _lie_products, _weight0_bases,
                               ce_cochain_dimensions, ce_cohomology,
                               ce_differential, der_cochain_dimensions,
                               der_cohomology_truncated, der_differential,
@@ -177,6 +177,36 @@ def test_diolic_lie_check():
     c[0][2][0] = 1
     c[2][0][0] = -1
     assert not diolic_lie_check(CEData(3, c, 1, [[[0]], [[0]], [[0]]]))
+
+
+def test_lie_product_count_is_the_dense_formula():
+    # each product of the sparse check pairs two nonzero entries: c c for
+    # the Jacobiators, c rho and rho rho for the representation defects
+    r = rng(13)
+    for _ in range(40):
+        dim, d1 = r.randint(1, 5), r.randint(1, 4)
+        c = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+        for i, j in itertools.combinations(range(dim), 2):
+            for k in range(dim):
+                c[i][j][k] = r.choice([0, 0, 1, -2])
+                c[j][i][k] = -c[i][j][k]
+        rho = [[[r.choice([0, 0, 1, 3]) for _ in range(d1)] for _ in range(d1)]
+               for _ in range(dim)]
+        l = CEData(dim, c, d1, rho)
+        nz = lambda v: 1 if v else 0  # noqa: E731
+        want = sum(nz(c[u][v][t]) * nz(c[t][w][s])
+                   for i, j, k in itertools.combinations(range(dim), 3)
+                   for u, v, w in ((i, j, k), (j, k, i), (k, i, j))
+                   for t in range(dim) for s in range(dim))
+        want += sum(nz(c[i][j][k]) * nz(rho[k][a][b])
+                    for i, j in itertools.combinations(range(dim), 2)
+                    for k in range(dim) for a in range(d1) for b in range(d1))
+        want += sum(nz(rho[i][a][t]) * nz(rho[j][t][b]) + nz(rho[j][a][t]) * nz(rho[i][t][b])
+                    for i, j in itertools.combinations(range(dim), 2)
+                    for a in range(d1) for t in range(d1) for b in range(d1))
+        pairs = [[[(t, v) for t, v in enumerate(c[i][j]) if v] for j in range(dim)]
+                 for i in range(dim)]
+        assert _lie_products(l, pairs) == want
 
 
 def test_ce_differential_abelian_trivial_is_zero():
