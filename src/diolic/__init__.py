@@ -10,12 +10,11 @@ engines, all over exact rational arithmetic.
 
 __version__ = "0.1.0"
 
-from .poly import (ParseError, Poly, PolyMat, PolyVec, monomials_up_to,
-                   parse_poly)
+from .poly import (DiolicElement, ParseError, Poly, PolyMat, PolyVec,
+                   monomials_up_to, parse_poly)
 from .ops import (MatrixOp, RouteError, ScalarOp, VectorField, commutator,
                   delta, delta_nest, verify_order)
-from .derivations import (Der0, Der1, DerNeg1, DiolicElement,
-                          TruncatedDiolicModule, artificial_der,
+from .derivations import (Der0, Der1, DerNeg1, TruncatedDiolicModule, artificial_der,
                           check_phi_der, der0_split, graded_commutator_der,
                           p_action, rank_one_obstruction, symbol_sigma)
 from .diffops import (DiffOp0, DiffOp1, DiffOpNeg1, atiyah_project,

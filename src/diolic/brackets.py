@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import itertools
 
-from .poly import Poly, PolyMat, PolyVec, monomials_up_to
+from .poly import DiolicElement, Poly, PolyMat, PolyVec, monomials_up_to
 from .ops import MatrixOp, RouteError, VectorField
-from .derivations import Der0, Der1, DiolicElement, graded_commutator_der
+from .derivations import Der0, Der1, graded_commutator_der
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +677,7 @@ def jacobi_from_poisson(pi):
     basis = [tuple(1 if l == i else 0 for l in range(n)) for i in range(n)]
     caa = {(si, sj): pi.aa[i][j] for i, si in enumerate(basis)
            for j, sj in enumerate(basis)}
-    dmap = {si: pi.hamiltonian(Poly.var(n, i + 1)).to_matrix_op()
+    dmap = {si: pi.hamiltonian(Poly.var(n, i + 1)).as_diffop().boxP()
             for i, si in enumerate(basis)}
     return JacobiOp0(n, pi.m, caa, dmap)
 

@@ -26,10 +26,9 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .poly import ParseError, Poly, PolyMat, PolyVec, parse_poly
+from .poly import DiolicElement, ParseError, Poly, PolyMat, PolyVec, parse_poly
 from .ops import MatrixOp, RouteError, ScalarOp, VectorField
-from .derivations import (Der0, Der1, DerNeg1, DiolicElement,
-                          graded_commutator_der)
+from .derivations import Der0, Der1, DerNeg1, graded_commutator_der
 from .diffops import (DiffOp0, DiffOp1, check_k_connection,
                       graded_commutator_diff, verify_diolic_diffop)
 from .symbols import parse_symbol, poisson_bracket

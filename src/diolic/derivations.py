@@ -9,64 +9,26 @@ degree 1, with P*P = 0.  Its homogeneous derivations live in degrees
   * degree 1: P-valued derivations of A, an m-tuple of vector fields;
   * degree -1: A-linear functionals P -> A, which exist only when m = 1.
 
-Each class holds its degree in the class attribute `grade`; the graded
-commutator takes its operand order and skew sign from `ops.graded_operands`,
-the rule [y, x] = -(-1)^(|x||y|) [x, y] of the operator and symbol brackets.
-Every commutator computed from the split coordinate formulas is
-re-verified here against compose-and-subtract of the underlying
-operators; in normal form that comparison is an exact identity check.
+A derivation is a differential operator of order <= 1 that kills 1; each
+class embeds as one through `as_diffop`, and holds its degree in the class
+attribute `grade`.  The graded commutator takes its operand order and skew
+sign from `ops.graded_operands`, the rule [y, x] = -(-1)^(|x||y|) [x, y] of
+the operator and symbol brackets.
+Every commutator computed from the closed vector-field formulas is
+re-verified against the one block compose-and-subtract of the embedded
+operators in `diffops`; in normal form that is an exact identity check.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .poly import Poly, PolyMat, PolyVec, _Linear, monomials_up_to
-from .ops import MatrixOp, RouteError, ScalarOp, VectorField, graded_operands
+from .poly import GradedMap, Poly, PolyMat, PolyVec, monomials_up_to
+from .ops import MatrixOp, ScalarOp, VectorField, graded_operands
+from .diffops import DiffOp0, DiffOp1, DiffOpNeg1, verify_commutator
 
 
-class DiolicElement(_Linear):
-    """Homogeneous-or-mixed element (a, p) of A (+) P."""
-
-    __slots__ = ("a", "p")
-
-    def __init__(self, a, p):
-        if not isinstance(a, Poly) or not isinstance(p, PolyVec) or a.n != p.n:
-            raise ValueError("need (Poly, PolyVec) over the same variables")
-        self.a = a
-        self.p = p
-
-    @classmethod
-    def zero(cls, n, m):
-        return cls(Poly.zero(n), PolyVec.zero(n, m))
-
-    @classmethod
-    def from_a(cls, a, m):
-        return cls(a, PolyVec.zero(a.n, m))
-
-    @classmethod
-    def from_p(cls, p):
-        return cls(Poly.zero(p.n), p)
-
-    def _parts(self):
-        return (self.a, self.p)
-
-    def _rebuild(self, parts, other=None):
-        return DiolicElement(*parts)
-
-    def __mul__(self, other):
-        if not isinstance(other, DiolicElement):
-            return _Linear.__mul__(self, other)
-        # (a, p)(b, q) = (ab, aq + bp); the P*P component is dropped
-        return DiolicElement(self.a * other.a, self.a * other.p + other.a * self.p)
-
-    def __str__(self):
-        return "(%s | %s)" % (self.a, self.p)
-
-    __repr__ = __str__
-
-
-class Der0(_Linear):
+class Der0(GradedMap):
     """Degree-0 derivation: X on A, X + G on P."""
 
     __slots__ = ("n", "m", "X", "G")
@@ -90,18 +52,8 @@ class Der0(_Linear):
     def apply_p(self, p):
         return self.X(p) + self.G @ p
 
-    def __call__(self, e):
-        if isinstance(e, Poly):
-            return self.apply_a(e)
-        if isinstance(e, PolyVec):
-            return self.apply_p(e)
-        if isinstance(e, DiolicElement):
-            return DiolicElement(self.apply_a(e.a), self.apply_p(e.p))
-        raise TypeError("Der0 acts on Poly, PolyVec or DiolicElement")
-
-    def to_matrix_op(self):
-        return (MatrixOp.scalar_times_identity(self.X.to_scalar_op(), self.m)
-                + MatrixOp.from_polymat(self.G))
+    def as_diffop(self):
+        return DiffOp0(1, self.X.to_scalar_op(), MatrixOp.from_polymat(self.G))
 
     def _parts(self):
         return (self.X, self.G)
@@ -115,7 +67,7 @@ class Der0(_Linear):
     __repr__ = __str__
 
 
-class Der1(_Linear):
+class Der1(GradedMap):
     """Degree-1 derivation a -> sum_alpha Z^alpha(a) e_alpha; kills P."""
 
     __slots__ = ("n", "m", "Z")
@@ -136,17 +88,11 @@ class Der1(_Linear):
     def zero(cls, n, m):
         return cls([VectorField.zero(n)] * m)
 
-    def __call__(self, e):
-        if isinstance(e, Poly):
-            return PolyVec(self.n, [z(e) for z in self.Z])
-        if isinstance(e, PolyVec):
-            return PolyVec.zero(self.n, self.m)  # lands in degree 2 = 0
-        if isinstance(e, DiolicElement):
-            return DiolicElement.from_p(self(e.a))
-        raise TypeError("Der1 acts on Poly, PolyVec or DiolicElement")
+    def apply_a(self, a):
+        return PolyVec(self.n, [z(a) for z in self.Z])
 
-    def to_column(self):
-        return [z.to_scalar_op() for z in self.Z]
+    def as_diffop(self):
+        return DiffOp1(1, [z.to_scalar_op() for z in self.Z])
 
     def _parts(self):
         return self.Z
@@ -160,7 +106,7 @@ class Der1(_Linear):
     __repr__ = __str__
 
 
-class DerNeg1(_Linear):
+class DerNeg1(GradedMap):
     """Degree -1 derivation: the A-linear functional p -> sum phi_a p^a.
 
     Exists only for m = 1.  For m >= 2 the graded Leibniz rule on the
@@ -187,20 +133,13 @@ class DerNeg1(_Linear):
     def zero(cls, n):
         return cls([Poly.zero(n)])
 
-    def __call__(self, e):
-        if isinstance(e, PolyVec):
-            if e.m != 1:
-                raise ValueError("dimension mismatch")
-            return self.phi[0] * e.comps[0]
-        if isinstance(e, Poly):
-            return Poly.zero(self.n)  # degree -1 on A lands in degree -1 = 0
-        if isinstance(e, DiolicElement):
-            return DiolicElement.from_a(self(e.p), 1)
-        raise TypeError("DerNeg1 acts on Poly, PolyVec or DiolicElement")
+    def apply_p(self, p):
+        if p.m != 1:
+            raise ValueError("dimension mismatch")
+        return self.phi[0] * p.comps[0]
 
-    def to_scalar_op(self):
-        # as operator P -> A with P identified with A at rank 1
-        return ScalarOp.mult(self.phi[0])
+    def as_diffop(self):
+        return DiffOpNeg1(0, ScalarOp.mult(self.phi[0]))
 
     def _parts(self):
         return self.phi
@@ -263,18 +202,12 @@ def p_action(p, d):
 # commutators
 
 
-def _verify(cond, what):
-    if not cond:
-        raise RouteError("commutator formula disagrees with "
-                             "compose-and-subtract for %s" % what)
-
-
 def graded_commutator_der(d1, d2):
     """Graded commutator of homogeneous derivations.
 
     Degree sums with no homogeneous component (|sum| >= 2) give the zero
     derivation, returned as the integer 0.  Every computed output is
-    checked against compose-and-subtract of the underlying operators.
+    checked against compose-and-subtract of the embedded operators.
     """
     if d1 == 0 or d2 == 0:
         return 0
@@ -287,8 +220,6 @@ def graded_commutator_der(d1, d2):
     if grades == (0, 0):
         X, Y, G, H = u.X, v.X, u.G, v.G
         out = Der0(X.bracket(Y), X(H) - Y(G) + G.commutator(H))
-        lhs = u.to_matrix_op() @ v.to_matrix_op() - v.to_matrix_op() @ u.to_matrix_op()
-        _verify(lhs == out.to_matrix_op(), "Der0/Der0")
     elif grades == (0, 1):
         comps = []
         for alpha in range(u.m):
@@ -297,29 +228,14 @@ def graded_commutator_der(d1, d2):
                 w = w + u.G.rows[alpha][beta] * v.Z[beta]
             comps.append(w)
         out = Der1(comps)
-        # A -> P check: u^P o Z - Z o u^A, entry a: sum_b u^P_ab o Z_b - Z_a o u^A
-        up, col, ua = u.to_matrix_op(), v.to_column(), u.X.to_scalar_op()
-        raw = [sum((up.entries[a][b] @ col[b] for b in range(u.m)), ScalarOp.zero(u.n))
-               - col[a] @ ua for a in range(u.m)]
-        _verify(raw == out.to_column(), "Der0/Der1")
     elif grades == (0, -1):
         f = v.phi[0]
-        g = u.G.rows[0][0]
-        out = DerNeg1([u.X(f) - f * g])
-        # P -> A check: u^A o phi - phi o u^P
-        raw = (u.X.to_scalar_op() @ v.to_scalar_op()
-               - v.to_scalar_op() @ (u.X.to_scalar_op() + ScalarOp.mult(g)))
-        _verify(raw == out.to_scalar_op(), "Der0/DerNeg1")
+        out = DerNeg1([u.X(f) - f * u.G.rows[0][0]])
     else:
         f = v.phi[0]
         zvf = u.Z[0]
         out = Der0(f * zvf, PolyMat(u.n, [[zvf(f)]]))
-        # odd-odd bracket is the anticommutator; its two composites act on
-        # the two homogeneous components: phi o Z on A, Z o phi on P
-        raw_a = ScalarOp.mult(f) @ zvf.to_scalar_op()
-        raw_p = zvf.to_scalar_op() @ ScalarOp.mult(f)
-        _verify(raw_a == out.X.to_scalar_op()
-                and raw_p == out.to_matrix_op().entries[0][0], "Der1/DerNeg1")
+    verify_commutator(u, v, out)
     return out if sign > 0 else -out
 
 

@@ -11,13 +11,15 @@ delta-nests of both parts agree.
 Degree 1 operators of order k are columns of scalar operators A -> P;
 degree -1 operators (P -> A) exist only at rank 1.  Each class holds its
 degree in `grade`; the commutator orders its operands by `ops.graded_operands`.
+The second route of this commutator and of the derivation commutator is
+the one block compose-and-subtract `block_commutator`, on A (+) P = A^(1+m);
+`verify_commutator` compares it with the closed-form output.
 """
 
 from __future__ import annotations
 
-from .poly import Poly, PolyVec, _Linear, monomials_up_to
-from .ops import MatrixOp, ScalarOp, graded_operands, verify_order
-from .derivations import DiolicElement, _verify
+from .poly import DiolicElement, GradedMap, Poly, PolyVec, monomials_up_to
+from .ops import MatrixOp, RouteError, ScalarOp, graded_operands, verify_order
 
 
 def _sum_order(a, b=None):
@@ -25,7 +27,7 @@ def _sum_order(a, b=None):
     return a.k if b is None else max(a.k, b.k)
 
 
-class DiffOp0(_Linear):
+class DiffOp0(GradedMap):
     """Degree-0 operator boxA*I + M of order k in split normal form."""
 
     __slots__ = ("n", "m", "k", "boxA", "M")
@@ -62,14 +64,11 @@ class DiffOp0(_Linear):
     def boxP(self):
         return MatrixOp.scalar_times_identity(self.boxA, self.m) + self.M
 
-    def __call__(self, e):
-        if isinstance(e, DiolicElement):
-            return DiolicElement(self.boxA(e.a), self.boxP() @ e.p)
-        if isinstance(e, Poly):
-            return self.boxA(e)
-        if isinstance(e, PolyVec):
-            return self.boxP() @ e
-        raise TypeError("DiffOp0 acts on Poly, PolyVec or DiolicElement")
+    def apply_a(self, a):
+        return self.boxA(a)
+
+    def apply_p(self, p):
+        return self.boxP() @ p
 
     def embed(self, k):
         """The same operator viewed at order k >= self.k."""
@@ -89,7 +88,7 @@ class DiffOp0(_Linear):
     __repr__ = __str__
 
 
-class DiffOp1(_Linear):
+class DiffOp1(GradedMap):
     """Degree-1 operator A -> P of order k: a column of scalar operators."""
 
     __slots__ = ("n", "m", "k", "ops")
@@ -113,14 +112,8 @@ class DiffOp1(_Linear):
     def zero(cls, n, m, k=0):
         return cls(k, [ScalarOp.zero(n)] * m)
 
-    def __call__(self, e):
-        if isinstance(e, Poly):
-            return PolyVec(self.n, [o(e) for o in self.ops])
-        if isinstance(e, PolyVec):
-            return PolyVec.zero(self.n, self.m)
-        if isinstance(e, DiolicElement):
-            return DiolicElement.from_p(self(e.a))
-        raise TypeError("DiffOp1 acts on Poly, PolyVec or DiolicElement")
+    def apply_a(self, a):
+        return PolyVec(self.n, [o(a) for o in self.ops])
 
     def order(self):
         return max((o.order() for o in self.ops), default=-1)
@@ -142,7 +135,7 @@ class DiffOp1(_Linear):
     __repr__ = __str__
 
 
-class DiffOpNeg1(_Linear):
+class DiffOpNeg1(GradedMap):
     """Degree -1 operator P -> A of order k; exists only at rank 1."""
 
     __slots__ = ("n", "m", "k", "op")
@@ -160,16 +153,10 @@ class DiffOpNeg1(_Linear):
         self.k = k
         self.op = op
 
-    def __call__(self, e):
-        if isinstance(e, PolyVec):
-            if e.m != 1:
-                raise ValueError("dimension mismatch")
-            return self.op(e.comps[0])
-        if isinstance(e, Poly):
-            return Poly.zero(self.n)
-        if isinstance(e, DiolicElement):
-            return DiolicElement.from_a(self(e.p), 1)
-        raise TypeError("DiffOpNeg1 acts on Poly, PolyVec or DiolicElement")
+    def apply_p(self, p):
+        if p.m != 1:
+            raise ValueError("dimension mismatch")
+        return self.op(p.comps[0])
 
     def _parts(self):
         return (self.op,)
@@ -253,12 +240,47 @@ def check_k_connection(nabla, k, n, m):
     return True
 
 
+def _block(b):
+    """b as its (m+1) x (m+1) block matrix of scalar operators on
+    A (+) P = A^(1+m), A first; a derivation enters through `as_diffop`."""
+    if not isinstance(b, (DiffOp0, DiffOp1, DiffOpNeg1)):
+        b = b.as_diffop()
+    z = ScalarOp.zero(b.n)
+    if b.grade == 0:
+        return MatrixOp(b.n, [[b.boxA] + [z] * b.m]
+                        + [[z] + list(row) for row in b.boxP().entries])
+    if b.grade == 1:
+        return MatrixOp(b.n, [[z] * (b.m + 1)] + [[o] + [z] * b.m for o in b.ops])
+    return MatrixOp(b.n, [[z, b.op], [z, z]])
+
+
+def block_commutator(u, v):
+    """Compose and subtract: the graded commutator of the blocks of u and v,
+    U@V - V@U, or the anticommutator U@V + V@U when both are odd."""
+    U, V = _block(u), _block(v)
+    if u.grade % 2 and v.grade % 2:
+        return U @ V + V @ U
+    return U @ V - V @ U
+
+
+def verify_commutator(u, v, out, raw=None):
+    """Second route of both graded commutators: raise RouteError unless the
+    closed-form output out of the canonical pair (u, v) has the block
+    `block_commutator(u, v)`, passed as raw when the caller has it."""
+    if raw is None:
+        raw = block_commutator(u, v)
+    if _block(out) != raw:
+        raise RouteError("commutator formula disagrees with compose-and-subtract "
+                         "for %s/%s" % (type(u).__name__, type(v).__name__))
+
+
 def graded_commutator_diff(b1, b2):
     """Graded commutator of homogeneous operators, split-form output.
 
     Degree pairs summing outside {-1, 0, 1} return the integer 0.  The
     split-coordinate formulas are used and every output is re-verified
-    against compose-and-subtract of the raw operators.
+    against `block_commutator`, whose blocks also give the scalar part of
+    a degree-0 pair and both parts of the odd pair.
     """
     if b1 == 0 or b2 == 0:
         return 0
@@ -267,16 +289,15 @@ def graded_commutator_diff(b1, b2):
         return 0
     u, v, sign = pair
     grades = (u.grade, v.grade)
+    raw = block_commutator(u, v)
+    k = max(u.k + v.k - 1, 0)
 
     if grades == (0, 0):
-        boxA = u.boxA @ v.boxA - v.boxA @ u.boxA
         eye1 = MatrixOp.scalar_times_identity(u.boxA, u.m)
         eye2 = MatrixOp.scalar_times_identity(v.boxA, u.m)
         mat = (eye1 @ v.M - v.M @ eye1) + (u.M @ eye2 - eye2 @ u.M) \
             + (u.M @ v.M - v.M @ u.M)
-        out = DiffOp0(max(u.k + v.k - 1, 0), boxA, mat)
-        raw = u.boxP() @ v.boxP() - v.boxP() @ u.boxP()
-        _verify(raw == out.boxP(), "DiffOp0/DiffOp0")
+        out = DiffOp0(k, raw.entries[0][0], mat)
     elif grades == (0, 1):
         comps = []
         for j in range(u.m):
@@ -284,20 +305,14 @@ def graded_commutator_diff(b1, b2):
             for beta in range(u.m):
                 c = c + u.M.entries[j][beta] @ v.ops[beta]
             comps.append(c)
-        out = DiffOp1(max(u.k + v.k - 1, 0), comps)
-        boxP = u.boxP()
-        raw = [sum((boxP.entries[j][beta] @ v.ops[beta] for beta in range(u.m)),
-                   ScalarOp.zero(u.n)) - v.ops[j] @ u.boxA for j in range(u.m)]
-        _verify(tuple(raw) == out.ops, "DiffOp0/DiffOp1")
+        out = DiffOp1(k, comps)
     elif grades == (0, -1):
         box, op = u.boxA, v.op
-        out = DiffOpNeg1(max(u.k + v.k - 1, 0),
-                         box @ op - op @ box - op @ u.M.entries[0][0])
-        # P -> A check: boxA o op - op o boxP
-        raw = box @ op - op @ u.boxP().entries[0][0]
-        _verify(raw == out.op, "DiffOp0/DiffOpNeg1")
+        out = DiffOpNeg1(k, box @ op - op @ box - op @ u.M.entries[0][0])
     else:
-        # odd-odd pair: the anticommutator, verified by from_pair
-        out = DiffOp0.from_pair(v.op @ u.ops[0], MatrixOp(u.n, [[u.ops[0] @ v.op]]),
+        # odd-odd pair: the anticommutator, phi o Z on A and Z o phi on P,
+        # checked as a degree-0 operator by from_pair
+        out = DiffOp0.from_pair(raw.entries[0][0], MatrixOp(u.n, [[raw.entries[1][1]]]),
                                 u.k + v.k)
+    verify_commutator(u, v, out, raw)
     return out if sign > 0 else -out

@@ -374,7 +374,9 @@ class MatrixOp(_Linear):
             for j in range(self.m):
                 acc = ScalarOp.zero(self.n)
                 for l in range(self.m):
-                    acc = acc + self.entries[i][l] @ other.entries[l][j]
+                    a, b = self.entries[i][l], other.entries[l][j]
+                    if a.coeffs and b.coeffs:  # a zero factor adds nothing
+                        acc = acc + a @ b
                 row.append(acc)
             rows.append(row)
         return MatrixOp(self.n, rows)

@@ -29,7 +29,8 @@ graded-lex), and parse(print(p)) == p.
 
 `_Linear` is the one base of every value class of the package that adds,
 negates, scales and compares part by part (vectors, matrices, operators,
-derivations, symbols).
+derivations, symbols).  `GradedMap` is the one rule by which derivations
+and differential operators act on an element of A (+) P, `DiolicElement`.
 """
 
 from __future__ import annotations
@@ -689,3 +690,66 @@ class PolyMat(_Linear):
         return "[" + "; ".join(", ".join(str(p) for p in r) for r in self.rows) + "]"
 
     __repr__ = __str__
+
+
+class DiolicElement(_Linear):
+    """Homogeneous-or-mixed element (a, p) of A (+) P."""
+
+    __slots__ = ("a", "p")
+
+    def __init__(self, a, p):
+        if not isinstance(a, Poly) or not isinstance(p, PolyVec) or a.n != p.n:
+            raise ValueError("need (Poly, PolyVec) over the same variables")
+        self.a = a
+        self.p = p
+
+    @classmethod
+    def zero(cls, n, m):
+        return cls(Poly.zero(n), PolyVec.zero(n, m))
+
+    @classmethod
+    def from_a(cls, a, m):
+        return cls(a, PolyVec.zero(a.n, m))
+
+    @classmethod
+    def from_p(cls, p):
+        return cls(Poly.zero(p.n), p)
+
+    def _parts(self):
+        return (self.a, self.p)
+
+    def _rebuild(self, parts, other=None):
+        return DiolicElement(*parts)
+
+    def __mul__(self, other):
+        if not isinstance(other, DiolicElement):
+            return _Linear.__mul__(self, other)
+        # (a, p)(b, q) = (ab, aq + bp); the P*P component is dropped
+        return DiolicElement(self.a * other.a, self.a * other.p + other.a * self.p)
+
+    def __str__(self):
+        return "(%s | %s)" % (self.a, self.p)
+
+    __repr__ = __str__
+
+
+class GradedMap(_Linear):
+    """A map of A (+) P of degree `grade` in {-1, 0, 1}: a subclass gives
+    `apply_a` on A unless its grade is -1 and `apply_p` on P unless it is 1,
+    since those images lie in degree -1 or 2, where A (+) P is zero."""
+
+    __slots__ = ()
+
+    def __call__(self, e):
+        g = self.grade
+        if isinstance(e, Poly):
+            return Poly.zero(self.n) if g == -1 else self.apply_a(e)
+        if isinstance(e, PolyVec):
+            return PolyVec.zero(self.n, self.m) if g == 1 else self.apply_p(e)
+        if isinstance(e, DiolicElement):
+            if g == 1:
+                return DiolicElement.from_p(self.apply_a(e.a))
+            if g == -1:
+                return DiolicElement.from_a(self.apply_p(e.p), self.m)
+            return DiolicElement(self.apply_a(e.a), self.apply_p(e.p))
+        raise TypeError("%s acts on Poly, PolyVec or DiolicElement" % type(self).__name__)

@@ -234,6 +234,10 @@ class DiolicSymbolNeg1(_Linear):
     grade = -1
 
     def __init__(self, k, s):
+        if not isinstance(s, SymbolPoly):
+            raise ValueError("need a SymbolPoly")
+        if not s.is_zero() and s.k != k:
+            raise ValueError("symbol must have xi-degree k")
         self.n = s.n
         self.k = k
         self.s = s

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from diolic.poly import Poly, PolyMat, PolyVec, monomials_up_to
+from diolic.poly import DiolicElement, Poly, PolyMat, PolyVec, monomials_up_to
 from diolic.ops import MatrixOp, ScalarOp, VectorField
 from diolic.cli import DEFAULT_CAPS, parse_problem
-from diolic.derivations import DiolicElement, graded_commutator_der
+from diolic.derivations import graded_commutator_der
 from diolic.brackets import (BiDer0, BiDer1, BiDerNeg1, BiDerNeg2,
                              JacobiNeg1, JacobiOp0, is_jacobi0, is_jacobi_neg1,
                              is_lie_algebroid, is_poisson0,

@@ -13,9 +13,9 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diolic.poly import Poly, PolyMat, PolyVec, monomials_up_to
+from diolic.poly import DiolicElement, Poly, PolyMat, PolyVec, monomials_up_to
 from diolic.ops import MatrixOp, RouteError, ScalarOp, VectorField
-from diolic.derivations import Der0, DiolicElement
+from diolic.derivations import Der0
 from diolic.cli import DEFAULT_CAPS, parse_problem
 from diolic.brackets import (BiDer0, BiDerNeg1, JacobiNeg1, JacobiOp0,
                              _adjoint_curvature, is_jacobi0, is_lie_algebroid,

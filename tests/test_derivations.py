@@ -1,9 +1,8 @@
 import pytest
 
-from diolic.poly import Poly, PolyMat, PolyVec, monomials_up_to
+from diolic.poly import DiolicElement, Poly, PolyMat, PolyVec, monomials_up_to
 from diolic.ops import ScalarOp, VectorField
-from diolic.derivations import (Der0, Der1, DerNeg1, DiolicElement,
-                                TruncatedDiolicModule, artificial_der,
+from diolic.derivations import (Der0, Der1, DerNeg1, TruncatedDiolicModule, artificial_der,
                                 check_phi_der, der0_split,
                                 graded_commutator_der, p_action,
                                 rank_one_obstruction, symbol_sigma,
@@ -342,7 +341,7 @@ def test_check_phi_der_self_module():
     mod = TruncatedDiolicModule.self_module(n, m)
     d = rand_der0(r, n, m)
     xa = [d.X.to_scalar_op()]
-    mop = d.to_matrix_op()
+    mop = d.as_diffop().boxP()
     xp = [[mop.entries[i][j] for j in range(m)] for i in range(m)]
     assert check_phi_der(mod, xa, xp)
 

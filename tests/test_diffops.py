@@ -1,8 +1,7 @@
 import pytest
 
-from diolic.poly import Poly, PolyMat, PolyVec, monomials_up_to
+from diolic.poly import DiolicElement, Poly, PolyMat, PolyVec, monomials_up_to
 from diolic.ops import MatrixOp, RouteError, ScalarOp
-from diolic.derivations import DiolicElement
 from diolic.diffops import (DiffOp0, DiffOp1, DiffOpNeg1, atiyah_project,
                             atiyah_split, beta_diff, check_k_connection,
                             graded_commutator_diff, verify_diolic_diffop)

@@ -1,19 +1,21 @@
 """The one graded skew rule shared by the brackets of derivations,
-differential operators and symbols (`ops.graded_operands`), and the
-derivations induced on functors of P."""
+differential operators and symbols (`ops.graded_operands`), the one
+compose-and-subtract route of the derivation and operator commutators,
+and the derivations induced on functors of P."""
 
 import itertools
 
 import pytest
 
 from diolic.poly import Poly, PolyVec
-from diolic.ops import ScalarOp
+from diolic.ops import RouteError, ScalarOp, VectorField
 from diolic.derivations import Der0, artificial_der, graded_commutator_der
-from diolic.diffops import graded_commutator_diff
+from diolic.diffops import DiffOp0, DiffOp1, DiffOpNeg1, graded_commutator_diff
 from diolic.symbols import (diolic_poisson_bracket, diolic_symbol0, diolic_symbol1,
                             diolic_symbol_neg1)
 
-from helpers import (oracle_artificial_der, rng, rand_der0, rand_der1,
+from helpers import (oracle_artificial_der, oracle_graded_commutator_der,
+                     oracle_graded_commutator_diff, rng, rand_der0, rand_der1,
                      rand_derneg1, rand_diffop0, rand_diffop1, rand_diffopneg1,
                      rand_poly_mat)
 
@@ -123,3 +125,96 @@ def test_artificial_der_matches_hand_written_loops():
                 assert artificial_der("wedge", d, k=k) == oracle_artificial_der("wedge", d, k=k)
             for k in range(4):
                 assert artificial_der("sym", d, k=k) == oracle_artificial_der("sym", d, k=k)
+
+
+def _diff_of_order(r, g, n, m, k):
+    return {0: lambda: rand_diffop0(r, n, m, k), 1: lambda: rand_diffop1(r, n, m, k),
+            -1: lambda: rand_diffopneg1(r, n, k)}[g]()
+
+
+def test_der_commutator_matches_two_route_oracle():
+    r = rng(241)
+    for gx, gy in itertools.product(GRADES, repeat=2):
+        for n in (1, 2, 3):
+            for m in ((1,) if -1 in (gx, gy) else (1, 2, 3)):
+                x, y = _der(r, gx, n, m), _der(r, gy, n, m)
+                for u, v in ((x, y), (y, x)):
+                    assert graded_commutator_der(u, v) == oracle_graded_commutator_der(u, v)
+
+
+def test_diff_commutator_matches_two_route_oracle():
+    r = rng(251)
+    for gx, gy in itertools.product(GRADES, repeat=2):
+        for n, k, l in itertools.product((1, 2), range(3), range(3)):
+            for m in ((1,) if -1 in (gx, gy) else (1, 2)):
+                x, y = _diff_of_order(r, gx, n, m, k), _diff_of_order(r, gy, n, m, l)
+                for u, v in ((x, y), (y, x)):
+                    assert graded_commutator_diff(u, v) == oracle_graded_commutator_diff(u, v)
+
+
+# Route 1 is the closed form, route 2 the block compose-and-subtract; each
+# test below corrupts route 1 alone and expects the route check to name the
+# canonical pair.  Derivations: the vector-field bracket, or a vector field
+# applied to a polynomial.  Operators: the constructor of the output class,
+# which shifts the first component by the identity.
+
+def _shifted_bracket(orig):
+    return lambda self, other: orig(self, other) + VectorField.coordinate(self.n, 1)
+
+
+def _shifted_call(orig):
+    return lambda self, p: (orig(self, p) + Poly.one(self.n) if isinstance(p, Poly)
+                            else orig(self, p))
+
+
+def _shifted_diffop0(orig):
+    return lambda self, k, boxA, M: orig(self, k, boxA + ScalarOp.identity(boxA.n), M)
+
+
+def _shifted_diffop1(orig):
+    def init(self, k, ops):
+        ops = list(ops)
+        orig(self, k, [ops[0] + ScalarOp.identity(ops[0].n)] + ops[1:])
+    return init
+
+
+def _shifted_diffopneg1(orig):
+    return lambda self, k, op, m=1: orig(self, k, op + ScalarOp.identity(op.n), m)
+
+
+CANONICAL = [((0, 0), "Der0/Der0", "DiffOp0/DiffOp0"),
+             ((0, 1), "Der0/Der1", "DiffOp0/DiffOp1"),
+             ((0, -1), "Der0/DerNeg1", "DiffOp0/DiffOpNeg1"),
+             ((1, -1), "Der1/DerNeg1", "DiffOp1/DiffOpNeg1")]
+ROUTE_CASES = [pytest.param(grades, der_label, diff_label, swap,
+                            id="%d,%d-%s" % (grades + ("vu" if swap else "uv",)))
+               for grades, der_label, diff_label in CANONICAL for swap in (False, True)]
+
+
+def _route_error(label):
+    return pytest.raises(RouteError, match="^commutator formula disagrees with "
+                         "compose-and-subtract for %s$" % label)
+
+
+@pytest.mark.parametrize("grades, der_label, diff_label, swap", ROUTE_CASES)
+def test_der_commutator_route_disagreement(monkeypatch, grades, der_label, diff_label, swap):
+    r = rng(257)
+    m = 1 if -1 in grades else 2
+    u, v = _der(r, grades[0], 2, m), _der(r, grades[1], 2, m)
+    name, corrupt = (("bracket", _shifted_bracket) if -1 not in grades
+                     else ("__call__", _shifted_call))
+    monkeypatch.setattr(VectorField, name, corrupt(getattr(VectorField, name)))
+    with _route_error(der_label):
+        graded_commutator_der(*((v, u) if swap else (u, v)))
+
+
+@pytest.mark.parametrize("grades, der_label, diff_label, swap", ROUTE_CASES)
+def test_diff_commutator_route_disagreement(monkeypatch, grades, der_label, diff_label, swap):
+    r = rng(263)
+    m = 1 if -1 in grades else 2
+    u, v = _diff_of_order(r, grades[0], 2, m, 1), _diff_of_order(r, grades[1], 2, m, 1)
+    cls, corrupt = {0: (DiffOp0, _shifted_diffop0), 1: (DiffOp1, _shifted_diffop1),
+                    -1: (DiffOpNeg1, _shifted_diffopneg1)}[(grades[0] + grades[1])]
+    monkeypatch.setattr(cls, "__init__", corrupt(cls.__init__))
+    with _route_error(diff_label):
+        graded_commutator_diff(*((v, u) if swap else (u, v)))

@@ -4,8 +4,8 @@ from diolic.poly import Poly, PolyVec, monomials_up_to
 from diolic.ops import (MatrixOp, ScalarOp, commutator, delta, delta_nest,
                         verify_order)
 
-from helpers import (oracle_compose, rng, rand_poly, rand_scalar_op, rand_matrix_op,
-                     rand_poly_vec)
+from helpers import (oracle_compose, oracle_matrix_compose, rng, rand_poly,
+                     rand_scalar_op, rand_matrix_op, rand_poly_vec)
 
 
 def d(n, i):
@@ -197,6 +197,41 @@ def test_matrix_compose_agrees_with_application():
         b = rand_matrix_op(r, 2, 2, 1)
         v = rand_poly_vec(r, 2, 2, 2)
         assert (a @ b) @ v == a @ (b @ v)
+
+
+def _masked_matrix_op(r, n, m, shape):
+    """A seeded m x m MatrixOp whose zero entries follow shape."""
+    z = ScalarOp.zero(n)
+    zero_row, zero_col = r.randrange(m), r.randrange(m)
+    half = r.randint(1, m)
+
+    def kept(i, j):
+        if shape == "all-zero":
+            return False
+        if shape == "zero-row":
+            return i != zero_row
+        if shape == "zero-col":
+            return j != zero_col
+        if shape == "block-diagonal":
+            return (i < half) == (j < half)
+        return r.random() < 0.5  # scattered zeros
+
+    return MatrixOp(n, [[rand_scalar_op(r, n, r.randint(0, 2)) if kept(i, j) else z
+                         for j in range(m)] for i in range(m)])
+
+
+def test_matrix_compose_skipping_zeros_matches_triple_loop():
+    r = rng(67)
+    shapes = ("scattered", "zero-row", "zero-col", "all-zero", "block-diagonal")
+    for m in range(1, 5):
+        for sa in shapes:
+            for sb in shapes:
+                n = r.randint(1, 2)
+                a, b = _masked_matrix_op(r, n, m, sa), _masked_matrix_op(r, n, m, sb)
+                got = a @ b
+                assert got == oracle_matrix_compose(a, b)
+                v = rand_poly_vec(r, n, m, 2)
+                assert got @ v == a @ (b @ v)
 
 
 def test_vector_field_bracket_matches_operator_commutator():

@@ -5,8 +5,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from diolic.poly import (ParseError, Poly, PolyMat, PolyVec, monomials_up_to,
-                         parse_poly)
+from diolic.poly import (DiolicElement, ParseError, Poly, PolyMat, PolyVec,
+                         monomials_up_to, parse_poly)
 from diolic.ops import MatrixOp, ScalarOp, VectorField
 from diolic.derivations import Der0, Der1
 from diolic.diffops import DiffOp0, DiffOp1
@@ -228,6 +228,31 @@ def test_linear_value_contract(name):
         x + foreign
     with pytest.raises(TypeError):
         x - foreign
+
+
+GRADED_MAPS = ("Der0", "Der1", "DerNeg1", "DiffOp0", "DiffOp1", "DiffOpNeg1")
+
+
+@pytest.mark.parametrize("name", GRADED_MAPS)
+def test_graded_map_action_rule(name):
+    """One action rule: a degree-g map sends A to degree g and P to degree
+    g + 1, and the images in degree -1 or 2 are zero."""
+    make = _values()[name][0]
+    r = rng(sum(map(ord, name)) + 1)
+    n, m = 2, 1 if name.endswith("Neg1") else 2
+    for _ in range(5):
+        x, e = make(r, n, m), h.rand_diolic_element(r, n, m)
+        on_a, on_p = x(e.a), x(e.p)
+        if x.grade == -1:
+            assert on_a == Poly.zero(n)
+            assert x(e) == DiolicElement.from_a(on_p, m)
+        elif x.grade == 1:
+            assert on_p == PolyVec.zero(n, m)
+            assert x(e) == DiolicElement.from_p(on_a)
+        else:
+            assert x(e) == DiolicElement(on_a, on_p)
+    with pytest.raises(TypeError, match="^%s acts on Poly, PolyVec or DiolicElement$" % name):
+        x(5)
 
 
 def test_order_tag_is_not_a_linear_part():

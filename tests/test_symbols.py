@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from diolic.poly import ParseError, Poly, PolyMat, monomials_up_to
 from diolic.ops import MatrixOp, ScalarOp, commutator, verify_order
 from diolic.diffops import DiffOp0, DiffOp1, graded_commutator_diff
-from diolic.symbols import (DiolicSymbol0, DiolicSymbol1, SymbolPoly,
+from diolic.symbols import (DiolicSymbol0, DiolicSymbol1, DiolicSymbolNeg1, SymbolPoly,
                             diolic_poisson_bracket, diolic_symbol0,
                             diolic_symbol1, diolic_symbol_neg1,
                             hamiltonian_apply, lambda_k, parse_symbol,
@@ -235,6 +236,22 @@ def test_diolic_poisson_bracket_neg1_matches_commutator():
         lhs = diolic_poisson_bracket(diolic_symbol0(b0), diolic_symbol_neg1(bn))
         c = graded_commutator_diff(b0, bn)
         assert lhs.s == smbl_scalar(c.op, k + l - 1)
+
+
+def test_symbol_neg1_rejects_wrong_degree_and_non_symbols():
+    with pytest.raises(ValueError, match="xi-degree"):
+        DiolicSymbolNeg1(5, SymbolPoly.xi(2, 1))
+    with pytest.raises(ValueError, match="SymbolPoly"):
+        DiolicSymbolNeg1(0, Poly.var(2, 1))
+    assert DiolicSymbolNeg1(5, SymbolPoly.zero(2)).k == 5  # zero takes any order
+    r = rng(41)
+    for k, l in itertools.product(range(3), repeat=2):
+        n = r.randint(1, 2)
+        bn = rand_diffopneg1(r, n, l)
+        sn = diolic_symbol_neg1(bn)
+        assert isinstance(sn, DiolicSymbolNeg1) and sn.k == l
+        out = diolic_poisson_bracket(diolic_symbol0(rand_diffop0(r, n, 1, k)), sn)
+        assert isinstance(out, DiolicSymbolNeg1) and out.k == max(k + l - 1, 0)
 
 
 def test_diolic_poisson_bracket_degree_two_is_zero():
