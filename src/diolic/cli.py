@@ -138,8 +138,9 @@ def _matrix_op(data, n, m, name):
 
 
 def _scalar_op_json(op):
-    return [{"sigma": list(sigma), "coeff": str(op.coeffs[sigma])}
-            for sigma in sorted(op.coeffs, key=lambda s: (sum(s), s))]
+    coeffs = op.coeffs
+    return [{"sigma": list(sigma), "coeff": str(coeffs[sigma])}
+            for sigma in sorted(coeffs, key=lambda s: (sum(s), s))]
 
 
 def _matrix_op_json(mop):
@@ -147,10 +148,11 @@ def _matrix_op_json(mop):
 
 
 def _fraction(value, name):
+    """A JSON rational: an int as it is, a string as a Fraction."""
     if isinstance(value, bool):
         raise InputError("%s must be a rational" % name)
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         try:
             return Fraction(value)

@@ -1,10 +1,17 @@
 """Scalar and matrix linear differential operators on Q[x1..xn].
 
-A scalar operator is kept in normal form sum_sigma a_sigma(x) d^sigma with
-all coefficients to the left, so equality is equality of the stored maps.
-Composition uses the generalized Leibniz rule
+A scalar operator sum_sigma a_sigma(x) d^sigma in normal form (all
+coefficients to the left) is stored as its total symbol
+sum_sigma a_sigma(x) xi^sigma: one Poly `p` in the 2n variables
+x1..xn, xi_1..xi_n, the layout of `symbols.SymbolPoly`.  Equality of
+operators is equality of total symbols.  Composition is the finite, exact
+normal-ordered product
 
-    d^sigma (b g) = sum_{rho <= sigma} C(sigma, rho) d^rho(b) d^(sigma-rho)(g).
+    sigma(A o B) = sum_alpha (1/alpha!) d_xi^alpha sigma(A) * d_x^alpha sigma(B)
+
+(Hormander, The Analysis of Linear Partial Differential Operators III,
+Section 18.1; Coutinho, A Primer of Algebraic D-Modules, 1995), the
+generalized Leibniz rule summed over the xi-exponents of A.
 
 Conventions fixed here and used throughout the package:
 
@@ -20,9 +27,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
-from .poly import Poly, PolyMat, PolyVec, _Linear, mi_add, mi_sub, monomials_up_to
+from .poly import Poly, PolyMat, PolyVec, _Linear, _rational, mi_sub, monomials_up_to
 
 
 class RouteError(AssertionError):
@@ -40,14 +46,21 @@ def _subindices(sigma):
     return itertools.product(*(range(e + 1) for e in sigma))
 
 
-class ScalarOp:
-    """Operator sum_sigma a_sigma(x) d^sigma acting on Poly."""
+def lift(a):
+    """The polynomial a(x) as a Poly in (x, xi) of xi-degree 0."""
+    z = (0,) * a.n
+    return Poly._trusted(2 * a.n, {s + z: c for s, c in a.terms.items()})
 
-    __slots__ = ("n", "coeffs")
+
+class ScalarOp(_Linear):
+    """Operator sum_sigma a_sigma(x) d^sigma acting on Poly, stored as its
+    total symbol `p`: the term c x^mu xi^sigma of p is c x^mu d^sigma."""
+
+    __slots__ = ("n", "p")
 
     def __init__(self, n, coeffs=()):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        acc = {}
+        merged = {}
         for sigma, a in items:
             sigma = tuple(sigma)
             if len(sigma) != n or any(e < 0 for e in sigma):
@@ -56,17 +69,20 @@ class ScalarOp:
                 a = Poly.const(n, a)
             if a.n != n:
                 raise ValueError("coefficient variable count mismatch")
-            if not a.is_zero():
-                prev = acc.get(sigma)
-                a = a if prev is None else prev + a
-                if a.is_zero():
-                    acc.pop(sigma, None)
-                else:
-                    acc[sigma] = a
+            merged[sigma] = merged[sigma] + a if sigma in merged else a
         self.n = n
-        self.coeffs = acc
+        self.p = Poly._trusted(2 * n, {mu + sigma: c for sigma, a in merged.items()
+                                       for mu, c in a.terms.items()})
 
     # -- constructors --------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, n, p):
+        """The operator whose total symbol is p, a Poly in 2n variables."""
+        out = cls.__new__(cls)
+        out.n = n
+        out.p = p
+        return out
 
     @classmethod
     def zero(cls, n):
@@ -79,7 +95,7 @@ class ScalarOp:
     @classmethod
     def mult(cls, a):
         """Multiplication by the polynomial a (an order-0 operator)."""
-        return cls(a.n, {(0,) * a.n: a})
+        return cls._trusted(a.n, lift(a))
 
     @classmethod
     def partial(cls, n, i):
@@ -95,19 +111,27 @@ class ScalarOp:
 
     # -- queries ---------------------------------------------------------
 
+    @property
+    def coeffs(self):
+        """Read-only view {sigma: a_sigma} of the nonzero coefficients."""
+        n = self.n
+        out = {}
+        for s, c in self.p.terms.items():
+            out.setdefault(s[n:], {})[s[:n]] = c
+        return {sigma: Poly._trusted(n, t) for sigma, t in out.items()}
+
     def order(self):
         """Max |sigma| over stored terms; -1 for the zero operator."""
-        return max((sum(s) for s in self.coeffs), default=-1)
-
-    def is_zero(self):
-        return not self.coeffs
+        n = self.n
+        return max((sum(s[n:]) for s in self.p.terms), default=-1)
 
     def first_order_part(self):
         """The |sigma| = 1 coefficients as a VectorField."""
+        coeffs = self.coeffs
         comps = []
         for i in range(self.n):
             e = tuple(1 if j == i else 0 for j in range(self.n))
-            comps.append(self.coeffs.get(e, Poly.zero(self.n)))
+            comps.append(coeffs.get(e, Poly.zero(self.n)))
         return VectorField(self.n, comps)
 
     def constant_coeff(self):
@@ -115,110 +139,64 @@ class ScalarOp:
 
     # -- action and algebra ----------------------------------------------
 
-    def __call__(self, p):
-        if not isinstance(p, Poly) or p.n != self.n:
+    def __call__(self, f):
+        if not isinstance(f, Poly) or f.n != self.n:
             raise ValueError("argument must be a Poly in %d variables" % self.n)
         out = Poly.zero(self.n)
         for sigma, a in self.coeffs.items():
-            d = p.partial_sigma(sigma)
-            if not d.is_zero():
+            d = f.partial_sigma(sigma)
+            if d.terms:
                 out = out + a * d
         return out
 
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError("mismatched variable counts")
+    def _parts(self):
+        return (self.p,)
 
-    def __add__(self, other):
-        if not isinstance(other, ScalarOp):
-            return NotImplemented
-        self._check(other)
-        acc = dict(self.coeffs)
-        for s, a in other.coeffs.items():
-            v = acc.get(s)
-            v = a if v is None else v + a
-            if v.is_zero():
-                acc.pop(s, None)
-            else:
-                acc[s] = v
-        out = ScalarOp.__new__(ScalarOp)
-        out.n = self.n
-        out.coeffs = acc
-        return out
-
-    def __neg__(self):
-        out = ScalarOp.__new__(ScalarOp)
-        out.n = self.n
-        out.coeffs = {s: -a for s, a in self.coeffs.items()}
-        return out
-
-    def __sub__(self, other):
-        if not isinstance(other, ScalarOp):
-            return NotImplemented
-        return self + (-other)
+    def _rebuild(self, parts, other=None):
+        return ScalarOp._trusted(self.n, parts[0])
 
     def __rmul__(self, other):
         """Left multiplication by a function or scalar: (a * op)(f) = a * op(f)."""
-        if isinstance(other, (Poly, int, Fraction)):
-            out = ScalarOp.__new__(ScalarOp)
-            out.n = self.n
-            acc = {}
-            for s, a in self.coeffs.items():
-                v = other * a
-                if not v.is_zero():
-                    acc[s] = v
-            out.coeffs = acc
-            return out
-        return NotImplemented
+        return _Linear.__rmul__(self, lift(other) if isinstance(other, Poly) else other)
 
     __mul__ = __rmul__
 
     def __matmul__(self, other):
-        """Composition self o other, renormalized to coefficients-left form."""
+        """Composition self o other: the normal-ordered product of the
+        total symbols.  The alpha = 0 term is the plain product; for
+        alpha != 0 each term c x^mu xi^s of self with s >= alpha gives the
+        term C(s, alpha) c x^mu xi^(s - alpha) of the divided
+        xi-derivative of index alpha, and each of those is multiplied once
+        by the x-derivative d^alpha of the symbol of other."""
         if not isinstance(other, ScalarOp):
             return NotImplemented
-        self._check(other)
-        acc = {}
-        derived = {}  # (s2, rho) -> d^rho a2, shared by every s1 >= rho
-        for s1, a1 in self.coeffs.items():
-            for rho in _subindices(s1):
-                c = _binom(s1, rho)
-                tail = mi_sub(s1, rho)
-                for s2, a2 in other.coeffs.items():
-                    d = derived.get((s2, rho))
-                    if d is None:
-                        d = derived[s2, rho] = a2.partial_sigma(rho)
-                    if d.is_zero():
-                        continue
-                    slot = mi_add(tail, s2)
-                    term = a1 * d if c == 1 else a1 * d * c
-                    prev = acc.get(slot)
-                    term = term if prev is None else prev + term
-                    if term.is_zero():
-                        acc.pop(slot, None)
-                    else:
-                        acc[slot] = term
-        out = ScalarOp.__new__(ScalarOp)
-        out.n = self.n
-        out.coeffs = acc
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, ScalarOp):
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
-
-    __hash__ = None
+        n = self.n
+        if other.n != n:
+            raise ValueError("mismatched variable counts")
+        zero = (0,) * n
+        divided = {}  # alpha -> terms of (1/alpha!) d_xi^alpha sigma(self)
+        for s, c in self.p.terms.items():
+            ks = s[n:]
+            for alpha in itertools.islice(_subindices(ks), 1, None):
+                b = _binom(ks, alpha)
+                divided.setdefault(alpha, {})[mi_sub(s, zero + alpha)] = \
+                    c if b == 1 else _rational(c * b)
+        out = self.p * other.p
+        for alpha, terms in divided.items():
+            d = other.p.partial_sigma(alpha + zero)
+            if d.terms:
+                out = out + Poly._trusted(2 * n, terms) * d
+        return ScalarOp._trusted(n, out)
 
     def __str__(self):
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         bits = []
-        for sigma in sorted(self.coeffs, key=lambda s: (sum(s), s)):
+        for sigma in sorted(coeffs, key=lambda s: (sum(s), s)):
             ds = "*".join("d%d" % (i + 1) + ("^%d" % e if e > 1 else "")
                           for i, e in enumerate(sigma) if e)
-            a = str(self.coeffs[sigma])
-            bits.append("(%s)%s" % (a, "*" + ds if ds else ""))
+            bits.append("(%s)%s" % (coeffs[sigma], "*" + ds if ds else ""))
         return " + ".join(bits)
 
     __repr__ = __str__
@@ -375,7 +353,7 @@ class MatrixOp(_Linear):
                 acc = ScalarOp.zero(self.n)
                 for l in range(self.m):
                     a, b = self.entries[i][l], other.entries[l][j]
-                    if a.coeffs and b.coeffs:  # a zero factor adds nothing
+                    if a.p.terms and b.p.terms:  # a zero factor adds nothing
                         acc = acc + a @ b
                 row.append(acc)
             rows.append(row)

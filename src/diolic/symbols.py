@@ -1,9 +1,10 @@
 """The graded symbol algebra on (x, xi) and its canonical Poisson bracket.
 
-The top-order part of a scalar operator of order k is the polynomial
-sum_{|sigma|=k} a_sigma(x) xi^sigma, homogeneous of degree k in the
-momentum variables xi_1..xi_n (written k1..kn in text form).  Symbols
-multiply commutatively, and
+A scalar operator is stored as its total symbol, a Poly in (x, xi) (see
+`ops`), so its order-k symbol sum_{|sigma|=k} a_sigma(x) xi^sigma is a
+filter: the terms of the stored total symbol of xi-degree k.  A symbol is
+homogeneous of degree k in the momentum variables xi_1..xi_n (written
+k1..kn in text form).  Symbols multiply commutatively, and
 
     {F, G} = sum_i dF/dxi_i dG/dx_i - dF/dx_i dG/dxi_i
 
@@ -13,14 +14,29 @@ Degree-0 diolic symbols are pairs (s, Ms) of a scalar symbol of xi-degree
 k and an m x m matrix of xi-degree k-1 symbols, mirroring the split form
 of degree-0 operators; degree-1 symbols are columns.  Each class holds its
 degree in `grade`; the bracket orders its operands by `ops.graded_operands`.
+In a sum of symbols of any class a zero operand takes the xi-degree k of
+the other (`_sum_degree`).
 """
 
 from __future__ import annotations
 
 from .poly import ParseError, Poly, _Linear, format_terms, parse_terms, var_names
-from .ops import RouteError, ScalarOp, delta_nest, graded_operands
+from .ops import RouteError, ScalarOp, delta_nest, graded_operands, lift
 from .derivations import Der0
-from .diffops import DiffOp0, DiffOp1, DiffOpNeg1, _sum_order
+from .diffops import DiffOp0, DiffOp1, DiffOpNeg1
+
+
+def _sum_degree(a, b=None):
+    """xi-degree k of a sum or difference of a and b (of a alone if b is
+    None): a zero operand takes the k of the other; two nonzero operands
+    of different k raise ValueError."""
+    if b is None:
+        return a.k
+    if a.is_zero():
+        return b.k
+    if b.k != a.k and not b.is_zero():
+        raise ValueError("cannot add symbols of different xi-degrees")
+    return a.k
 
 
 class SymbolPoly(_Linear):
@@ -50,8 +66,7 @@ class SymbolPoly(_Linear):
     @classmethod
     def from_poly(cls, p):
         """A polynomial in x viewed as a xi-degree-0 symbol."""
-        z = (0,) * p.n
-        return cls(p.n, 0, Poly(2 * p.n, {s + z: c for s, c in p.terms.items()}))
+        return cls(p.n, 0, lift(p))
 
     @classmethod
     def xi(cls, n, i):
@@ -68,13 +83,7 @@ class SymbolPoly(_Linear):
         return (self.p,)
 
     def _rebuild(self, parts, other=None):
-        k = self.k
-        if other is not None:
-            if self.is_zero():
-                k = other.k
-            elif not other.is_zero() and other.k != k:
-                raise ValueError("cannot add symbols of different xi-degrees")
-        return SymbolPoly(self.n, k, parts[0])
+        return SymbolPoly(self.n, _sum_degree(self, other), parts[0])
 
     def __mul__(self, other):
         """The commutative symbol product; a Poly in x is a xi-degree-0 symbol."""
@@ -113,22 +122,18 @@ def parse_symbol(text, n):
 
 
 def smbl_scalar(op, k):
-    """The order-k symbol sum_{|sigma|=k} a_sigma xi^sigma of a scalar operator."""
+    """The order-k symbol sum_{|sigma|=k} a_sigma xi^sigma of a scalar
+    operator: the xi-degree-k terms of its total symbol."""
     if op.order() > k:
         raise ValueError("operator order %d exceeds %d" % (op.order(), k))
-    return SymbolPoly(op.n, k, Poly(2 * op.n, {mu + sigma: c
-                                              for sigma, a in op.coeffs.items()
-                                              if sum(sigma) == k
-                                              for mu, c in a.terms.items()}))
+    n = op.n
+    return SymbolPoly(n, k, Poly._trusted(2 * n, {s: c for s, c in op.p.terms.items()
+                                                  if sum(s[n:]) == k}))
 
 
 def scalar_from_symbol(s):
     """The canonical coefficients-left operator with the given top symbol."""
-    coeffs = {}
-    for (xs, ks), c in s.terms.items():
-        coeffs.setdefault(ks, Poly.zero(s.n))
-        coeffs[ks] = coeffs[ks] + Poly.monomial(s.n, xs, c)
-    return ScalarOp(s.n, coeffs)
+    return ScalarOp._trusted(s.n, s.p)
 
 
 def star(s1, s2):
@@ -185,7 +190,7 @@ class DiolicSymbol0(_Linear):
         return (self.s, self.Ms)
 
     def _rebuild(self, parts, other=None):
-        return DiolicSymbol0(_sum_order(self, other), *parts)
+        return DiolicSymbol0(_sum_degree(self, other), *parts)
 
     def __str__(self):
         return "(%s | %s)" % (self.s, "; ".join(
@@ -219,7 +224,7 @@ class DiolicSymbol1(_Linear):
         return self.comps
 
     def _rebuild(self, parts, other=None):
-        return DiolicSymbol1(_sum_order(self, other), parts)
+        return DiolicSymbol1(_sum_degree(self, other), parts)
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.comps) + ")"
@@ -246,7 +251,7 @@ class DiolicSymbolNeg1(_Linear):
         return (self.s,)
 
     def _rebuild(self, parts, other=None):
-        return DiolicSymbolNeg1(_sum_order(self, other), *parts)
+        return DiolicSymbolNeg1(_sum_degree(self, other), *parts)
 
     def __str__(self):
         return str(self.s)

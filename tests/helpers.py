@@ -428,10 +428,7 @@ def oracle_compose(self, other):
                     acc.pop(slot, None)
                 else:
                     acc[slot] = term
-    out = ScalarOp.__new__(ScalarOp)
-    out.n = self.n
-    out.coeffs = acc
-    return out
+    return ScalarOp(self.n, acc)
 
 
 # artificial_der as it was before its four basis loops became one

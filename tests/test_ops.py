@@ -1,8 +1,13 @@
+from fractions import Fraction
+
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from diolic.poly import Poly, PolyVec, monomials_up_to
 from diolic.ops import (MatrixOp, ScalarOp, commutator, delta, delta_nest,
                         verify_order)
+from diolic.symbols import scalar_from_symbol, smbl_scalar
 
 from helpers import (oracle_compose, oracle_matrix_compose, rng, rand_poly,
                      rand_scalar_op, rand_matrix_op, rand_poly_vec)
@@ -64,6 +69,76 @@ def test_compose_associative():
         n = r.randint(1, 2)
         a, b, c = (rand_scalar_op(r, n, 2) for _ in range(3))
         assert (a @ b) @ c == a @ (b @ c)
+
+
+# -- the operator kernel against sympy, and its algebraic laws --------------
+
+
+def _sympy_poly(p, xs):
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*[x ** e for x, e in zip(xs, s)])
+                for s, c in p.terms.items()), sympy.Integer(0))
+
+
+def _sympy_apply(op, f, xs):
+    """op applied to the sympy expression f: sum_sigma a_sigma diff(f, sigma)."""
+    out = sympy.Integer(0)
+    for sigma, a in op.coeffs.items():
+        d = f
+        for x, e in zip(xs, sigma):
+            if e:
+                d = sympy.diff(d, x, e)
+        out += _sympy_poly(a, xs) * d
+    return sympy.expand(out)
+
+
+def test_compose_and_apply_match_sympy():
+    """(A o B)(f) and the sympy action of A o B both equal A(B(f)) taken
+    with sympy.diff, on seeded operators with rational coefficients."""
+    r = rng(43)
+    for _ in range(25):
+        n = r.randint(1, 3)
+        xs = sympy.symbols(" ".join("x%d" % (i + 1) for i in range(n)), seq=True)
+        a = rand_scalar_op(r, n, r.randint(0, 3), coeff_deg=2, terms=3)
+        b = rand_scalar_op(r, n, r.randint(0, 3), coeff_deg=2, terms=3)
+        f = rand_poly(r, n, 6, 5)
+        want = _sympy_apply(a, _sympy_apply(b, _sympy_poly(f, xs), xs), xs)
+        assert sympy.expand(_sympy_poly((a @ b)(f), xs) - want) == 0
+        assert sympy.expand(_sympy_apply(a @ b, _sympy_poly(f, xs), xs) - want) == 0
+
+
+@st.composite
+def scalar_ops(draw, n):
+    """An operator of order <= 2 in n variables with up to three terms."""
+    coeffs = {}
+    for _ in range(draw(st.integers(0, 3))):
+        sigma = [0] * n
+        for _ in range(draw(st.integers(0, 2))):
+            sigma[draw(st.integers(0, n - 1))] += 1
+        mu = tuple(draw(st.integers(0, 2)) for _ in range(n))
+        c = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        coeffs.setdefault(tuple(sigma), {})[mu] = c
+    return ScalarOp(n, {s: Poly(n, t) for s, t in coeffs.items()})
+
+
+@st.composite
+def operator_triples(draw):
+    n = draw(st.integers(1, 3))
+    f = Poly(n, {tuple(draw(st.integers(0, 3)) for _ in range(n)): draw(st.integers(1, 3))
+                 for _ in range(draw(st.integers(1, 3)))})
+    return n, [draw(scalar_ops(n)) for _ in range(3)], f
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(operator_triples())
+def test_operator_kernel_properties(triple):
+    n, (a, b, c), f = triple
+    assert (a @ b) @ c == a @ (b @ c)
+    assert (a @ b)(f) == a(b(f))
+    assert ScalarOp(n, a.coeffs) == a
+    k = max(a.order(), 0)
+    s = smbl_scalar(a, k)
+    assert smbl_scalar(scalar_from_symbol(s), k) == s
 
 
 def test_commutator_examples():

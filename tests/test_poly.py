@@ -178,6 +178,7 @@ def _values():
                     PolyVec.basis(2, 2, 0)),
         "VectorField": (lambda r, n, m: h.rand_vector_field(r, n), more_n,
                         Poly.one(2)),
+        "ScalarOp": (lambda r, n, m: h.rand_scalar_op(r, n, 2), more_n, Poly.one(2)),
         "MatrixOp": (lambda r, n, m: h.rand_matrix_op(r, n, m, 1), more_m,
                      ScalarOp.identity(2)),
         "DiolicElement": (lambda r, n, m: h.rand_diolic_element(r, n, m), more_m,

@@ -254,6 +254,27 @@ def test_symbol_neg1_rejects_wrong_degree_and_non_symbols():
         assert isinstance(out, DiolicSymbolNeg1) and out.k == max(k + l - 1, 0)
 
 
+def test_symbol_sum_takes_the_order_of_its_nonzero_operand():
+    """A zero operand of another order k adds as zero, in either order, for
+    every graded symbol class; two nonzero operands of different orders
+    still raise."""
+    n = 2
+    xi1, xi2 = SymbolPoly.xi(n, 1), SymbolPoly.xi(n, 2)
+    s, t = xi1 * xi2, xi1 * xi1 * xi2  # xi-degrees 2 and 3
+    z2, z3 = SymbolPoly.zero(n, 2), SymbolPoly.zero(n, 3)
+    cases = [(DiolicSymbol0(2, s, [[xi1]]), DiolicSymbol0(3, z3, [[z2]]),
+              DiolicSymbol0(3, t, [[s]])),
+             (DiolicSymbol1(2, [s]), DiolicSymbol1(3, [z3]), DiolicSymbol1(3, [t])),
+             (DiolicSymbolNeg1(2, s), DiolicSymbolNeg1(3, z3), DiolicSymbolNeg1(3, t))]
+    for x, zero, other in cases:
+        for total in (x + zero, zero + x):
+            assert total == x and total.k == 2
+        assert zero - x == -x and (zero - x).k == 2
+        for a, b in ((x, other), (other, x)):
+            with pytest.raises(ValueError):
+                a + b
+
+
 def test_diolic_poisson_bracket_degree_two_is_zero():
     r = rng(37)
     u = diolic_symbol1(rand_diffop1(r, 1, 1, 1))
