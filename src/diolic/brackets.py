@@ -13,11 +13,23 @@ biderivation Pi the rules unfold to the closed form
     [[Pi, Pi]](z1, z2, z3) = 2 Jac_Pi(z1, z2, z3)
 
 with Jac_Pi the graded Jacobiator of `jacobiator0`; the value vanishes
-for degree reasons once two arguments lie in P.  The code evaluates the
-closed form.
+for degree reasons once two arguments lie in P.  `schouten_self_eval`
+evaluates the closed form.
+
+A multiderivation is fixed by its values on the generators
+g = (x_1..x_n, e_1..e_m), by the Leibniz rule in each slot, and that is
+the one evaluation rule here: D(z) = sum_k c_k D(g_k) for every
+derivation D (`_leibniz_terms`), and `_contract` puts an argument into
+the first slot of a table of values on generator tuples.  The
+biderivations share one `eval` over their tables on generator pairs;
+`schouten_probe_suite` contracts 2 Jac_Pi on generator triples.  No
+graded sign enters at any degree (1, 0, -1, -2 for the biderivations):
+A is even, so the Leibniz rule only splits products f e_alpha with f in
+A, and moving a coefficient past a value changes the sign only when both
+are odd, that is in P, where their product lies in P*P = 0 and is dropped.
 
 Every checker decides its identity on a finite argument set that makes
-the verdict exact, using three facts:
+the verdict exact, using two more facts:
 
   * a multi-differential operator of order <= k in one slot vanishes iff
     it kills the monomials of degree <= k in that slot: its coefficient
@@ -26,15 +38,13 @@ the verdict exact, using three facts:
     a time;
   * an alternating trilinear form vanishes iff it vanishes on the
     triples s_a, s_b, s_c with a < b < c of a spanning set; a form that
-    is alternating in two slots needs the pairs a < b there;
-  * a multiderivation is fixed by its values on the generators x_i of A
-    and e_alpha of P, by the Leibniz rule in each slot.
+    is alternating in two slots needs the pairs a < b there.
 
-The enumerating probe loops that these sets replace are kept in the
-tests as oracles.  Checker outputs pair a verdict with a deterministic
-list of named nonzero residuals, and the Poisson and algebroid verdicts
-are cross-checked against an independently computed derivation
-commutator.
+The enumerating probe loops and per-class formulas that these rules
+replace are kept in the tests as oracles.  Checker outputs pair a
+verdict with a deterministic list of named nonzero residuals, and the
+Poisson and algebroid verdicts are cross-checked against an
+independently computed derivation commutator.
 """
 
 from __future__ import annotations
@@ -43,40 +53,85 @@ import itertools
 
 from .poly import DiolicElement, Poly, PolyMat, PolyVec, monomials_up_to
 from .ops import MatrixOp, RouteError, VectorField
-from .derivations import Der0, Der1, graded_commutator_der
+from .derivations import Der0, graded_commutator_der
+
+
+# ---------------------------------------------------------------------------
+# the Leibniz contraction
+
+
+def _leibniz_terms(z, n):
+    """{k: c} with D(z) = sum c D(g_k) for every derivation D, where
+    g = (x_1..x_n, e_1..e_m): c = d_i z at x_i, and at e_alpha the
+    coefficient z^alpha when z lies in P.  Zero coefficients are dropped."""
+    terms = {i: z.partial(i + 1) for i in range(n)}
+    if z.grade:
+        terms.update((n + alpha, c) for alpha, c in enumerate(z.comps))
+    return {k: c for k, c in terms.items() if not c.is_zero()}
+
+
+def _contract(terms, table):
+    """The table {rest: sum_k c * table[k, *rest]} over the Leibniz terms
+    {k: c} of one argument, with its zero values dropped: the argument
+    put into the first slot.  A product of two factors in P lies in
+    P*P = 0 and is skipped (the grades sum to 2)."""
+    out = {}
+    for key, v in table.items():
+        c = terms.get(key[0])
+        if c is None or c.grade + v.grade > 1:
+            continue
+        rest = key[1:]
+        out[rest] = out[rest] + c * v if rest in out else c * v
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def _skew(table, key, v):
+    """Enter a nonzero v at key, and -v at key with its first two indices
+    swapped."""
+    if not v.is_zero():
+        table[key] = v
+        table[(key[1], key[0]) + key[2:]] = -v
 
 
 # ---------------------------------------------------------------------------
 # structures
 
 
-class _Bracket0:
-    """Dispatch of a degree-0 bracket given by its eval_aa and eval_ap."""
+class _BiDer:
+    """A biderivation of degree `grade`, given by `table`: its nonzero
+    values {(k, l): value} on the generator pairs (g_k, g_l)."""
 
     __slots__ = ()
-    grade = 0
 
     def eval(self, z1, z2):
-        """Dispatch on homogeneous arguments (Poly or PolyVec)."""
-        if isinstance(z1, Poly) and isinstance(z2, Poly):
-            return self.eval_aa(z1, z2)
-        if isinstance(z1, Poly) and isinstance(z2, PolyVec):
-            return self.eval_ap(z1, z2)
-        if isinstance(z1, PolyVec) and isinstance(z2, Poly):
-            return -self.eval_ap(z2, z1)
-        if isinstance(z1, PolyVec) and isinstance(z2, PolyVec):
-            return Poly.zero(self.n)
-        raise TypeError("arguments must be Poly or PolyVec")
+        """The value on homogeneous arguments (Poly or PolyVec), contracted
+        slot by slot from the table.  It has grade |z1| + |z2| + grade; a
+        zero is a PolyVec when that grade is 1 and a Poly otherwise, since
+        A (+) P is zero outside grades 0 and 1."""
+        n, m = self.n, self.m
+        for z in (z1, z2):
+            if not isinstance(z, (Poly, PolyVec)):
+                raise TypeError("arguments must be Poly or PolyVec")
+            if z.n != n or (z.grade and z.m != m):
+                raise ValueError("arguments must lie in A (+) P with n=%d, m=%d" % (n, m))
+        t = _contract(_leibniz_terms(z2, n), _contract(_leibniz_terms(z1, n), self.table))
+        if () in t:
+            return t[()]
+        return PolyVec.zero(n, m) if z1.grade + z2.grade + self.grade == 1 else Poly.zero(n)
 
 
-class BiDer0(_Bracket0):
+class BiDer0(_BiDer):
     """Degree-0 biderivation: bivector Pi^{ij} plus matrix parts Pi^i.
 
     Pi(a, b)   = sum_{ij} Pi^{ij} d_i(a) d_j(b)
     Pi(a, p)   = sum_i d_i(a) (sum_j Pi^{ij} d_j(p) + Pi^i p)
+
+    Its table: Pi(x_i, x_j) = Pi^{ij}, and Pi(x_i, e_alpha) = column alpha
+    of Pi^i, entered skew.
     """
 
-    __slots__ = ("n", "m", "aa", "end")
+    __slots__ = ("n", "m", "aa", "end", "table")
+    grade = 0
 
     def __init__(self, aa, end):
         aa = tuple(tuple(r) for r in aa)
@@ -99,6 +154,12 @@ class BiDer0(_Bracket0):
         self.m = m
         self.aa = aa
         self.end = end
+        self.table = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                _skew(self.table, (i, j), aa[i][j])
+            for alpha in range(m):
+                _skew(self.table, (i, n + alpha), PolyVec(n, [r[alpha] for r in end[i].rows]))
 
     @classmethod
     def from_upper(cls, n, m, upper, end=None):
@@ -113,18 +174,6 @@ class BiDer0(_Bracket0):
         if end is None:
             end = [PolyMat.zero(n, m) for _ in range(n)]
         return cls(aa, end)
-
-    def eval_aa(self, a, b):
-        out = Poly.zero(self.n)
-        for i in range(self.n):
-            da = a.partial(i + 1)
-            if da.is_zero():
-                continue
-            for j in range(self.n):
-                c = self.aa[i][j]
-                if not c.is_zero():
-                    out = out + c * da * b.partial(j + 1)
-        return out
 
     def hamiltonian(self, a):
         """The degree-0 derivation Pi(a, -)."""
@@ -143,14 +192,13 @@ class BiDer0(_Bracket0):
                 g = g + da * self.end[i]
         return Der0(VectorField(self.n, comps), g)
 
-    def eval_ap(self, a, p):
-        return self.hamiltonian(a).apply_p(p)
 
+class BiDer1(_BiDer):
+    """P-valued bivector: Pi[i][j] is a PolyVec, antisymmetric in (i, j);
+    its table is Pi(x_i, x_j) = Pi[i][j]."""
 
-class BiDer1:
-    """P-valued bivector: Pi[i][j] is a PolyVec, antisymmetric in (i, j)."""
-
-    __slots__ = ("n", "m", "pi")
+    __slots__ = ("n", "m", "pi", "table")
+    grade = 1
 
     def __init__(self, pi):
         pi = tuple(tuple(r) for r in pi)
@@ -168,30 +216,22 @@ class BiDer1:
         self.n = n
         self.m = m
         self.pi = pi
-
-    def eval(self, a, b):
-        out = PolyVec.zero(self.n, self.m)
-        for i in range(self.n):
-            da = a.partial(i + 1)
-            if da.is_zero():
-                continue
-            for j in range(self.n):
-                db = b.partial(j + 1)
-                if not db.is_zero() and not self.pi[i][j].is_zero():
-                    out = out + (da * db) * self.pi[i][j]
-        return out
+        self.table = {}
+        for i, j in itertools.combinations(range(n), 2):
+            _skew(self.table, (i, j), pi[i][j])
 
 
-class BiDerNeg1:
+class BiDerNeg1(_BiDer):
     """Anchor-and-bracket data: e_alpha -> Der0(rho_alpha, C_alpha).
 
     rho is a list of m vector fields; C[alpha] is the PolyMat with entry
     (gamma, beta) the structure function of [e_alpha, e_beta] along
     e_gamma.  Antisymmetry C[alpha](gamma, beta) = -C[beta](gamma, alpha)
-    is enforced.
+    is enforced.  The table: [e_alpha, x_i] = rho_alpha^i, entered skew,
+    and [e_alpha, e_beta] = column beta of C[alpha].
     """
 
-    __slots__ = ("n", "m", "rho", "c")
+    __slots__ = ("n", "m", "rho", "c", "table")
     grade = -1
 
     def __init__(self, rho, c):
@@ -216,6 +256,13 @@ class BiDerNeg1:
         self.m = m
         self.rho = rho
         self.c = c
+        self.table = {}
+        for alpha in range(m):
+            for i in range(n):
+                _skew(self.table, (n + alpha, i), rho[alpha].comps[i])
+            for beta in range(alpha + 1, m):
+                _skew(self.table, (n + alpha, n + beta),
+                      PolyVec(n, [r[beta] for r in c[alpha].rows]))
 
     def anchor(self, p):
         out = VectorField.zero(self.n)
@@ -231,55 +278,26 @@ class BiDerNeg1:
                 g = g + p.comps[alpha] * self.c[alpha]
         return Der0(self.anchor(p), g)
 
-    def bracket(self, p, q):
-        rp, rq = self.anchor(p), self.anchor(q)
-        comps = []
-        for gamma in range(self.m):
-            acc = rp(q.comps[gamma]) - rq(p.comps[gamma])
-            for alpha in range(self.m):
-                pa = p.comps[alpha]
-                if pa.is_zero():
-                    continue
-                for beta in range(self.m):
-                    cc = self.c[alpha].rows[gamma][beta]
-                    if not cc.is_zero():
-                        acc = acc + pa * q.comps[beta] * cc
-            comps.append(acc)
-        return PolyVec(self.n, comps)
 
-    def eval(self, z1, z2):
-        """The induced degree -1 bracket on homogeneous arguments."""
-        if isinstance(z1, PolyVec) and isinstance(z2, PolyVec):
-            return self.bracket(z1, z2)
-        if isinstance(z1, PolyVec) and isinstance(z2, Poly):
-            return self.anchor(z1)(z2)
-        if isinstance(z1, Poly) and isinstance(z2, PolyVec):
-            return -self.anchor(z2)(z1)
-        if isinstance(z1, Poly) and isinstance(z2, Poly):
-            return Poly.zero(self.n)
-        raise TypeError("arguments must be Poly or PolyVec")
-
-
-class BiDerNeg2:
-    """Degree -2 pairing (p, q) -> g p q on a rank-1 module.
+class BiDerNeg2(_BiDer):
+    """Degree -2 pairing (p, q) -> g p q on a rank-1 module; its table is
+    the value g at (e_1, e_1).
 
     The graded sign rule for two degree-1 arguments makes the pairing
     symmetric under swapping them; its self-bracket vanishes identically
     for degree reasons.
     """
 
-    __slots__ = ("n", "g")
+    __slots__ = ("n", "m", "g", "table")
+    grade = -2
 
     def __init__(self, g, m=1):
         if m != 1:
             raise ValueError("degree -2 biderivations exist only at rank 1")
         self.n = g.n
+        self.m = 1
         self.g = g
-
-    def eval(self, p, q):
-        if p.m != 1 or q.m != 1:
-            raise ValueError("rank-1 sections expected")
-        return self.g * p.comps[0] * q.comps[0]
+        self.table = {} if g.is_zero() else {(g.n, g.n): g}
 
 
 # ---------------------------------------------------------------------------
@@ -323,86 +341,50 @@ def schouten_self_eval(pi, z1, z2, z3):
     return _as_diolic(2 * jacobiator0(pi, *zs), pi.m)
 
 
-def _last_slot_derivation(pi, z1, z2):
-    """[[Pi, Pi]](z1, z2, -) built from 2 Jac_Pi on the generators: a Der0
-    when z1 and z2 lie in A, a Der1 when one of them lies in P."""
-    n, m = pi.n, pi.m
-    xs = [2 * jacobiator0(pi, z1, z2, Poly.var(n, i + 1)) for i in range(n)]
-    if z1.grade + z2.grade == 0:
-        cols = [2 * jacobiator0(pi, z1, z2, PolyVec.basis(n, m, j)) for j in range(m)]
-        g = PolyMat(n, [[cols[j].comps[i] for j in range(m)] for i in range(m)])
-        return Der0(VectorField(n, xs), g)
-    return Der1([VectorField(n, [v.comps[alpha] for v in xs]) for alpha in range(m)])
-
-
-def _leibniz_terms(z, n):
-    """The pairs (k, c) with D(z) = sum c D(g_k) for every derivation D,
-    where g = (x_1..x_n, e_1..e_m): c = d_i z at x_i, and at e_alpha the
-    coefficient z^alpha when z lies in P.  Zero coefficients are dropped."""
-    terms = [(i, z.partial(i + 1)) for i in range(n)]
-    if isinstance(z, PolyVec):
-        terms += [(n + alpha, c) for alpha, c in enumerate(z.comps)]
-    return [(k, c) for k, c in terms if not c.is_zero()]
-
-
 def schouten_probe_suite(pi, degree=2):
     """Nonzero values of [[Pi,Pi]] on all monomial triples of degree
     <= degree with at most one slot in P; returns [(label, DiolicElement)].
 
-    [[Pi, Pi]] is a multiderivation, so [[Pi, Pi]](z1, z2, -) is the sum
-    of c1 c2 [[Pi, Pi]](g_k, g_l, -) over the Leibniz terms (k, c1) of z1
-    and (l, c2) of z2.  The derivations on the generator pairs (g_k, g_l)
-    with at most one g in P form a table, built once per call from 2 Jac_Pi
-    on generator triples with k < l; [[Pi, Pi]] is skew in two slots that
-    hold at most one P argument, which gives (g_l, g_k) and kills (g_k, g_k).
-    Each argument pair is expanded from the table and its derivation is
-    applied to every third argument.  A coefficient q in P (from d_i of a
-    P argument) times the Der0 of (x_i, x_j) is the Der1 b -> q X(b); times
-    a Der1 it lands in P*P = 0.  A zero table gives no values at all.
+    [[Pi, Pi]] is a multiderivation, so its values are contracted from
+    its table on generator triples: 2 Jac_Pi(g_k, g_l, g_r) with k < l and
+    at most one g in P, built once per call.  [[Pi, Pi]] is skew in two
+    slots that hold at most one P argument, which gives (g_l, g_k, g_r)
+    and kills (g_k, g_k, g_r).  The table is contracted by z1, then by z2
+    once per argument pair, then by each third argument.  A zero table
+    gives no values at all.
     """
     n, m = pi.n, pi.m
     gens = [Poly.var(n, i + 1) for i in range(n)] + \
         [PolyVec.basis(n, m, j) for j in range(m)]
     table = {}
-    for k, l in itertools.combinations(range(n + m), 2):
-        if k < n:
-            table[(k, l)] = _last_slot_derivation(pi, gens[k], gens[l])
-            table[(l, k)] = -table[(k, l)]
-    if all(d.is_zero() for d in table.values()):
+    for k in range(n):
+        for l in range(k + 1, n + m):
+            for r in range(n if l >= n else n + m):
+                _skew(table, (k, l, r), 2 * jacobiator0(pi, gens[k], gens[l], gens[r]))
+    if not table:
         return []
 
-    def last_slot(z1, z2):
-        out = Der0.zero(n, m) if z1.grade + z2.grade == 0 else Der1.zero(n, m)
-        for k, c1 in _leibniz_terms(z1, n):
-            for l, c2 in _leibniz_terms(z2, n):
-                d = table.get((k, l))
-                if d is None:
-                    continue
-                c = c1 * c2
-                if isinstance(c, Poly):
-                    out = out + c * d
-                elif isinstance(d, Der0):
-                    out = out + Der1([a * d.X for a in c.comps])
-        return out
-
     monos = [Poly.monomial(n, s) for s in monomials_up_to(n, degree)]
-    a_elems = [(str(a), a) for a in monos]
-    p_elems = [("%s*e%d" % (a, j + 1), a * PolyVec.basis(n, m, j))
+    a_elems = [(str(a), _leibniz_terms(a, n)) for a in monos]
+    p_elems = [("%s*e%d" % (a, j + 1), _leibniz_terms(a * PolyVec.basis(n, m, j), n))
                for a in monos for j in range(m)]
     bad = []
     patterns = [(a_elems, a_elems, a_elems), (p_elems, a_elems, a_elems),
                 (a_elems, p_elems, a_elems), (a_elems, a_elems, p_elems)]
     for s1, s2, s3 in patterns:
-        for l1, z1 in s1:
-            for l2, z2 in s2:
-                der = last_slot(z1, z2)
-                if der.is_zero():
+        for l1, t1 in s1:
+            by1 = _contract(t1, table)
+            if not by1:
+                continue
+            for l2, t2 in s2:
+                by2 = _contract(t2, by1)
+                if not by2:
                     continue
-                for l3, z3 in s3:
-                    val = der(z3)
-                    if not val.is_zero():
+                for l3, t3 in s3:
+                    val = _contract(t3, by2)
+                    if val:
                         bad.append(("[[Pi,Pi]](%s, %s, %s)" % (l1, l2, l3),
-                                    _as_diolic(val, m)))
+                                    _as_diolic(val[()], m)))
     return bad
 
 
@@ -487,7 +469,7 @@ def _skew_table(n, caa):
     return {k: v for k, v in caa.items() if not v.is_zero()}
 
 
-class JacobiOp0(_Bracket0):
+class JacobiOp0:
     """Skew first-order bidifferential bracket on A (+) P, degree 0.
 
     caa maps multi-index pairs (sigma, tau) with |sigma|, |tau| <= 1 to
@@ -496,10 +478,12 @@ class JacobiOp0(_Bracket0):
     order <= 1 matrix operator D_sigma with
     Pi(a, p) = sum_sigma d^sigma(a) D_sigma(p).  Construction verifies
     that the two components share their scalar behaviour in the second
-    slot: Pi(a, bp) - b Pi(a, p) = (Pi(a, b) - b Pi(a, 1)) p.
+    slot: Pi(a, bp) - b Pi(a, p) = (Pi(a, b) - b Pi(a, 1)) p.  Pi(1, -)
+    need not vanish, so Pi is not a biderivation and keeps its formulas.
     """
 
     __slots__ = ("n", "m", "caa", "dmap")
+    grade = 0
 
     def __init__(self, n, m, caa, dmap):
         dmap = {tuple(s): op for s, op in dmap.items()}
@@ -542,6 +526,15 @@ class JacobiOp0(_Bracket0):
                         raise ValueError(
                             "components do not share scalar behaviour at "
                             "(a, b, p) = (%s, %s, e%d)" % (a, b, j + 1))
+
+    def eval(self, z1, z2):
+        """Dispatch on homogeneous arguments (Poly or PolyVec); two P
+        arguments give the zero Poly of grade 2."""
+        if not isinstance(z1, (Poly, PolyVec)) or not isinstance(z2, (Poly, PolyVec)):
+            raise TypeError("arguments must be Poly or PolyVec")
+        if z1.grade:
+            return Poly.zero(self.n) if z2.grade else -self.eval_ap(z2, z1)
+        return self.eval_ap(z1, z2) if z2.grade else self.eval_aa(z1, z2)
 
     def eval_aa(self, a, b):
         out = Poly.zero(self.n)
@@ -733,7 +726,7 @@ def is_lie_algebroid(l):
                     residuals.append(("anchor[%d,%d].X%d" % (alpha + 1, beta + 1, i + 1), cmp_))
 
     residuals += _jacobiator_triples(
-        l.bracket, [("1*e%d" % (a + 1), PolyVec.basis(n, m, a)) for a in range(m)])
+        l.eval, [("1*e%d" % (a + 1), PolyVec.basis(n, m, a)) for a in range(m)])
 
     ok = not residuals
     route_ok = all(_adjoint_curvature(l, alpha, beta).is_zero()

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .poly import Poly, PolyMat, PolyVec, _Linear, _rational, mi_sub, monomials_up_to
 
@@ -140,14 +141,23 @@ class ScalarOp(_Linear):
     # -- action and algebra ----------------------------------------------
 
     def __call__(self, f):
+        """The sum of c x^mu d^sigma(f) over the terms c x^mu xi^sigma of
+        the total symbol; d^sigma(f) is derived once per distinct sigma."""
         if not isinstance(f, Poly) or f.n != self.n:
             raise ValueError("argument must be a Poly in %d variables" % self.n)
-        out = Poly.zero(self.n)
-        for sigma, a in self.coeffs.items():
-            d = f.partial_sigma(sigma)
-            if d.terms:
-                out = out + a * d
-        return out
+        n = self.n
+        derived = {}
+        acc = {}
+        for s, c in self.p.terms.items():
+            sigma = s[n:]
+            d = derived.get(sigma)
+            if d is None:
+                d = derived[sigma] = f.partial_sigma(sigma).terms
+            mu = s[:n]
+            for t, v in d.items():
+                k = tuple(map(operator.add, mu, t))
+                acc[k] = acc.get(k, 0) + c * v
+        return Poly._trusted(n, {k: _rational(v) for k, v in acc.items() if v})
 
     def _parts(self):
         return (self.p,)

@@ -20,7 +20,7 @@ in the public API, 0-based inside exponent tuples).
 Text grammar (shared with the CLI):
 
     poly   := ('+'|'-')? term (('+'|'-') term)*
-    term   := coeff ('*' factor)* | factor ('*' factor)*
+    term   := (coeff | factor) ('*' factor)*
     factor := 'x'INDEX ('^'EXP)?
     coeff  := INT | INT'/'INT
 
@@ -445,24 +445,13 @@ class _Parser:
                 coeff *= Fraction(num, den)
             else:
                 coeff *= num
-            while True:
-                kind2, val2, _ = self.peek()
-                if kind2 == "op" and val2 == "*":
-                    self.next()
-                    self.factor(expos)
-                else:
-                    break
         elif kind == "var":
             self.factor(expos)
-            while True:
-                kind2, val2, _ = self.peek()
-                if kind2 == "op" and val2 == "*":
-                    self.next()
-                    self.factor(expos)
-                else:
-                    break
         else:
             raise ParseError("expected a term", pos)
+        while self.peek()[:2] == ("op", "*"):
+            self.next()
+            self.factor(expos)
         return coeff, {letter: tuple(v) for letter, v in expos.items()}
 
     def factor(self, expos):

@@ -16,7 +16,8 @@ from diolic.ops import (MatrixOp, RouteError, ScalarOp, VectorField, _binom, _su
 from diolic.derivations import (Der0, Der1, DerNeg1, hom_basis, sym_basis, tensor_basis,
                                 wedge_basis)
 from diolic.diffops import DiffOp0, DiffOp1, DiffOpNeg1
-from diolic.brackets import BiDer0, JacobiOp0, _as_diolic, _last_slot_derivation
+from diolic.brackets import (BiDer0, BiDer1, BiDerNeg1, BiDerNeg2, JacobiOp0, _as_diolic,
+                             jacobiator0)
 from diolic.complexes import (ONE, ZERO, _betti, ce_cochain_dimensions,
                               ce_differential, check_cap, rank)
 
@@ -217,11 +218,100 @@ def oracle_validate_jacobi0(op, probe_degree=2):
                         "(a, b, p) = (%s, %s, e%d)" % (a, b, j + 1))
 
 
+def oracle_bider0_aa(pi, a, b):
+    """Pi(a, b) = sum_{ij} Pi^{ij} d_i(a) d_j(b)."""
+    out = Poly.zero(pi.n)
+    for i in range(pi.n):
+        da = a.partial(i + 1)
+        for j in range(pi.n):
+            if not da.is_zero() and not pi.aa[i][j].is_zero():
+                out = out + pi.aa[i][j] * da * b.partial(j + 1)
+    return out
+
+
+def oracle_bider0_ap(pi, a, p):
+    """Pi(a, p) as the action of the Hamiltonian derivation Pi(a, -)."""
+    return pi.hamiltonian(a).apply_p(p)
+
+
+def oracle_bider1(pi, a, b):
+    """Pi(a, b) = sum_{ij} d_i(a) d_j(b) Pi[i][j] for a P-valued bivector."""
+    out = PolyVec.zero(pi.n, pi.m)
+    for i in range(pi.n):
+        for j in range(pi.n):
+            out = out + (a.partial(i + 1) * b.partial(j + 1)) * pi.pi[i][j]
+    return out
+
+
+def oracle_algebroid_bracket(l, p, q):
+    """[p, q]^gamma = rho_p(q^gamma) - rho_q(p^gamma)
+    + sum_{alpha beta} p^alpha q^beta C[alpha](gamma, beta)."""
+    rp, rq = l.anchor(p), l.anchor(q)
+    comps = []
+    for gamma in range(l.m):
+        acc = rp(q.comps[gamma]) - rq(p.comps[gamma])
+        for alpha in range(l.m):
+            for beta in range(l.m):
+                cc = l.c[alpha].rows[gamma][beta]
+                if not p.comps[alpha].is_zero() and not cc.is_zero():
+                    acc = acc + p.comps[alpha] * q.comps[beta] * cc
+        comps.append(acc)
+    return PolyVec(l.n, comps)
+
+
+def oracle_pairing_neg2(b, p, q):
+    """The degree -2 pairing g p q on rank-1 sections."""
+    return b.g * p.comps[0] * q.comps[0]
+
+
+def oracle_bider_eval(b, z1, z2):
+    """A biderivation of any of the four classes on homogeneous arguments,
+    by its closed formula; an argument pair whose value has a grade
+    outside {0, 1} gives the zero Poly."""
+    kinds = (isinstance(z1, PolyVec), isinstance(z2, PolyVec))
+    if isinstance(b, BiDer0):
+        if kinds == (False, False):
+            return oracle_bider0_aa(b, z1, z2)
+        if kinds == (False, True):
+            return oracle_bider0_ap(b, z1, z2)
+        if kinds == (True, False):
+            return -oracle_bider0_ap(b, z2, z1)
+    elif isinstance(b, BiDer1):
+        if kinds == (False, False):
+            return oracle_bider1(b, z1, z2)
+    elif isinstance(b, BiDerNeg1):
+        if kinds == (True, True):
+            return oracle_algebroid_bracket(b, z1, z2)
+        if kinds == (True, False):
+            return b.anchor(z1)(z2)
+        if kinds == (False, True):
+            return -b.anchor(z2)(z1)
+    elif isinstance(b, BiDerNeg2):
+        if kinds == (True, True):
+            return oracle_pairing_neg2(b, z1, z2)
+    else:
+        raise TypeError("not a biderivation: %r" % (b,))
+    return Poly.zero(b.n)
+
+
+class OracleBracket:
+    """A biderivation evaluated by `oracle_bider_eval`, for `jacobiator0`."""
+
+    def __init__(self, b):
+        self.b, self.n, self.m, self.grade = b, b.n, b.m, b.grade
+
+    def eval(self, z1, z2):
+        return oracle_bider_eval(self.b, z1, z2)
+
+
 def oracle_schouten_probe_suite(pi, degree=2):
     """Nonzero values of [[Pi,Pi]] on all monomial triples of degree
     <= degree with at most one slot in P; returns [(label, DiolicElement)].
+    Each value is 2 Jac_Pi on the triple, with Pi evaluated by its closed
+    formulas.
     """
     n, m = pi.n, pi.m
+    bracket = OracleBracket(pi)
     monos = [Poly.monomial(n, s) for s in monomials_up_to(n, degree)]
     a_elems = [(str(a), a) for a in monos]
     p_elems = [("%s*e%d" % (a, j + 1), a * PolyVec.basis(n, m, j))
@@ -232,9 +322,8 @@ def oracle_schouten_probe_suite(pi, degree=2):
     for s1, s2, s3 in patterns:
         for l1, z1 in s1:
             for l2, z2 in s2:
-                der = _last_slot_derivation(pi, z1, z2)
                 for l3, z3 in s3:
-                    val = der(z3)
+                    val = 2 * jacobiator0(bracket, z1, z2, z3)
                     if not val.is_zero():
                         bad.append(("[[Pi,Pi]](%s, %s, %s)" % (l1, l2, l3),
                                     _as_diolic(val, m)))
@@ -338,10 +427,11 @@ def oracle_is_lie_algebroid(l, coeff_degree=2):
                              "%s*e%d" % (f, alpha + 1)))
     for (p, lp) in sections:
         for (q, lq) in sections:
-            pq = l.bracket(p, q)
+            pq = oracle_algebroid_bracket(l, p, q)
             for (r, lr) in sections:
-                jac = (l.bracket(pq, r) + l.bracket(l.bracket(q, r), p)
-                       + l.bracket(l.bracket(r, p), q))
+                jac = (oracle_algebroid_bracket(l, pq, r)
+                       + oracle_algebroid_bracket(l, oracle_algebroid_bracket(l, q, r), p)
+                       + oracle_algebroid_bracket(l, oracle_algebroid_bracket(l, r, p), q))
                 if not jac.is_zero():
                     residuals.append(("jacobiator(%s; %s; %s)" % (lp, lq, lr), jac))
 

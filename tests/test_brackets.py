@@ -15,7 +15,7 @@ from diolic.brackets import (BiDer0, BiDer1, BiDerNeg1, BiDerNeg2,
                              jacobi_from_poisson, jacobiator0,
                              schouten_probe_suite, schouten_self_eval)
 
-from helpers import rng, rand_bider0, rand_poly, rand_poly_vec
+from helpers import oracle_bider_eval, rng, rand_bider0, rand_poly, rand_poly_vec
 
 
 def so3_bider(m=1, end=None):
@@ -48,12 +48,12 @@ def witt_lift(weight_shift=0):
 
 def test_bider0_eval_constant_symplectic():
     pi = symplectic_bider()
-    assert pi.eval_aa(Poly.var(2, 1), Poly.var(2, 2)) == Poly.one(2)
+    assert pi.eval(Poly.var(2, 1), Poly.var(2, 2)) == Poly.one(2)
 
 
 def test_bider0_eval_so3():
     pi = so3_bider()
-    assert pi.eval_aa(Poly.var(3, 1), Poly.var(3, 2)) == Poly.var(3, 3)
+    assert pi.eval(Poly.var(3, 1), Poly.var(3, 2)) == Poly.var(3, 3)
 
 
 def test_bider0_eval_skew():
@@ -61,7 +61,7 @@ def test_bider0_eval_skew():
     for _ in range(20):
         pi = rand_bider0(r, 2, 2)
         a, b = rand_poly(r, 2, 2), rand_poly(r, 2, 2)
-        assert (pi.eval_aa(a, b) + pi.eval_aa(b, a)).is_zero()
+        assert (pi.eval(a, b) + pi.eval(b, a)).is_zero()
 
 
 def test_bider0_second_slot_der_leibniz():
@@ -71,7 +71,7 @@ def test_bider0_second_slot_der_leibniz():
         a, b = rand_poly(r, 2, 2), rand_poly(r, 2, 2)
         p = rand_poly_vec(r, 2, 2, 2)
         lhs = pi.eval(a, b * p)
-        rhs = pi.eval_aa(a, b) * p + b * pi.eval(a, p)
+        rhs = pi.eval(a, b) * p + b * pi.eval(a, p)
         assert lhs == rhs
 
 
@@ -105,6 +105,49 @@ def test_bider_neg2():
     assert BiDerNeg2(Poly.one(1)).eval(x, x) == Poly(1, {(2,): 1})
     with pytest.raises(ValueError):
         BiDerNeg2(g, m=2)
+
+
+def _rand_biderivations(r, n, m):
+    """One biderivation of each of the four classes (BiDerNeg2 at m = 1)."""
+    pi1 = [[PolyVec.zero(n, m)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = rand_poly_vec(r, n, m, 2)
+            pi1[i][j], pi1[j][i] = v, -v
+    z = Poly.zero(n)
+    rows = [[[z] * m for _ in range(m)] for _ in range(m)]
+    for a in range(m):
+        for b in range(a + 1, m):
+            for g in range(m):
+                c = rand_poly(r, n, 1)
+                rows[a][g][b], rows[b][g][a] = c, -c
+    rho = [VectorField(n, [rand_poly(r, n, 1) for _ in range(n)]) for _ in range(m)]
+    return [rand_bider0(r, n, m), BiDer1(pi1),
+            BiDerNeg1(rho, [PolyMat(n, rs) for rs in rows]), BiDerNeg2(rand_poly(r, n, 2))]
+
+
+def test_bider_eval_matches_closed_formulas():
+    # the shared Leibniz contraction against each class's own formula, on
+    # all four grade pairs, with the zero of the value's grade
+    r = rng(47)
+    for _ in range(12):
+        n, m = r.randint(1, 3), r.randint(1, 3)
+        for b in _rand_biderivations(r, n, m):
+            k = b.m
+            args = [rand_poly(r, n, 2), rand_poly(r, n, 2),
+                    rand_poly_vec(r, n, k, 2), rand_poly_vec(r, n, k, 2)]
+            for z1 in (args[0], args[2]):
+                for z2 in (args[1], args[3]):
+                    got, want = b.eval(z1, z2), oracle_bider_eval(b, z1, z2)
+                    assert type(got) is type(want) and got == want, (b, z1, z2)
+                    if z1.grade + z2.grade + b.grade != 1:
+                        assert type(got) is Poly
+            with pytest.raises(ValueError):
+                b.eval(args[0], rand_poly_vec(r, n, k + 1, 1))
+            with pytest.raises(ValueError):
+                b.eval(rand_poly(r, n + 1, 1), args[3])
+            with pytest.raises(TypeError):
+                b.eval(args[0], DiolicElement.from_a(args[1], k))
 
 
 # -- the Schouten square ----------------------------------------------------
@@ -150,7 +193,7 @@ def test_schouten_square_formula_all_even():
         pi = rand_bider0(r, 2, 2)
         a, b, c = (rand_poly(r, 2, 2) for _ in range(3))
         p = rand_poly_vec(r, 2, 2, 2)
-        ham = pi.hamiltonian(pi.eval_aa(a, b)) - graded_commutator_der(
+        ham = pi.hamiltonian(pi.eval(a, b)) - graded_commutator_der(
             pi.hamiltonian(a), pi.hamiltonian(b))
         assert schouten_self_eval(pi, a, b, c) == \
             DiolicElement.from_a(2 * ham.apply_a(c), pi.m)
@@ -194,7 +237,7 @@ def test_schouten_probe_suite_golden(name, count, first, last, digest):
 def test_schouten_probe_suite_matches_self_eval():
     r = rng(43)
     total = 0
-    for n, m in ((2, 2), (3, 1), (2, 1)):  # the last one is Poisson
+    for n, m in ((2, 2), (3, 1), (2, 1), (2, 3)):  # (2, 1) is Poisson
         pi = rand_bider0(r, n, m, deg=2)
         monos = [Poly.monomial(n, s) for s in monomials_up_to(n, 1)]
         a_elems = [(str(a), a) for a in monos]
@@ -460,8 +503,8 @@ def test_algebroid_bracket_leibniz():
     p = rand_poly_vec(r, 2, 2, 2)
     q = rand_poly_vec(r, 2, 2, 2)
     b = rand_poly(r, 2, 2)
-    lhs = l.bracket(p, b * q)
-    rhs = b * l.bracket(p, q) + l.anchor(p)(b) * q
+    lhs = l.eval(p, b * q)
+    rhs = b * l.eval(p, q) + l.anchor(p)(b) * q
     assert lhs == rhs
 
 

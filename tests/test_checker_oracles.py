@@ -266,11 +266,11 @@ def test_drawn_algebroid_matches_oracle(l):
     e = [PolyVec.basis(n, m, a) for a in range(m)]
     for a, b in itertools.combinations(range(m), 2):
         curv = _adjoint_curvature(l, a, b)
-        assert curv.X == l.rho[a].bracket(l.rho[b]) - l.anchor(l.bracket(e[a], e[b]))
+        assert curv.X == l.rho[a].bracket(l.rho[b]) - l.anchor(l.eval(e[a], e[b]))
         for g in range(m):
-            jac = (l.bracket(l.bracket(e[a], e[b]), e[g])
-                   + l.bracket(l.bracket(e[b], e[g]), e[a])
-                   + l.bracket(l.bracket(e[g], e[a]), e[b]))
+            jac = (l.eval(l.eval(e[a], e[b]), e[g])
+                   + l.eval(l.eval(e[b], e[g]), e[a])
+                   + l.eval(l.eval(e[g], e[a]), e[b]))
             assert curv.apply_p(e[g]) == -jac
 
 
