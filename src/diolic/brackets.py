@@ -404,7 +404,6 @@ def is_poisson0(pi):
     """
     n, m = pi.n, pi.m
     residuals = []
-    x = [Poly.var(n, i + 1) for i in range(n)]
 
     for i, j, k in itertools.combinations(range(n), 3):
         s = Poly.zero(n)
@@ -432,9 +431,9 @@ def is_poisson0(pi):
     pde_ok = not residuals
 
     curv_ok = True
+    ham = [pi.hamiltonian(Poly.var(n, i + 1)) for i in range(n)]
     for i, j in itertools.combinations(range(n), 2):
-        hi, hj = pi.hamiltonian(x[i]), pi.hamiltonian(x[j])
-        curv = graded_commutator_der(hi, hj) - pi.hamiltonian(pi.aa[i][j])
+        curv = graded_commutator_der(ham[i], ham[j]) - pi.hamiltonian(pi.aa[i][j])
         if not curv.is_zero():
             curv_ok = False
             for l, c in enumerate(curv.X.comps):

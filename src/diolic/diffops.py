@@ -12,14 +12,17 @@ Degree 1 operators of order k are columns of scalar operators A -> P;
 degree -1 operators (P -> A) exist only at rank 1.  Each class holds its
 degree in `grade`; the commutator orders its operands by `ops.graded_operands`.
 The second route of this commutator and of the derivation commutator is
-the one block compose-and-subtract `block_commutator`, on A (+) P = A^(1+m);
-`verify_commutator` compares it with the closed-form output.
+the one block commutator `block_commutator`, on A (+) P = A^(1+m);
+`verify_commutator` compares it with the closed-form output.  It never
+calls the split formulas, so a wrong formula cannot agree with its own
+check; the routes share only the kernel `ops.commutator`, which the tests
+pin against a compose-and-subtract oracle.
 """
 
 from __future__ import annotations
 
 from .poly import DiolicElement, GradedMap, Poly, PolyVec, monomials_up_to
-from .ops import MatrixOp, RouteError, ScalarOp, graded_operands, verify_order
+from .ops import MatrixOp, RouteError, ScalarOp, commutator, graded_operands, verify_order
 
 
 def _sum_order(a, b=None):
@@ -255,12 +258,12 @@ def _block(b):
 
 
 def block_commutator(u, v):
-    """Compose and subtract: the graded commutator of the blocks of u and v,
-    U@V - V@U, or the anticommutator U@V + V@U when both are odd."""
+    """The graded commutator of the blocks of u and v, [U, V] by
+    `ops.commutator`, or the anticommutator U@V + V@U when both are odd."""
     U, V = _block(u), _block(v)
     if u.grade % 2 and v.grade % 2:
         return U @ V + V @ U
-    return U @ V - V @ U
+    return commutator(U, V)
 
 
 def verify_commutator(u, v, out, raw=None):
@@ -293,22 +296,20 @@ def graded_commutator_diff(b1, b2):
     k = max(u.k + v.k - 1, 0)
 
     if grades == (0, 0):
-        eye1 = MatrixOp.scalar_times_identity(u.boxA, u.m)
-        eye2 = MatrixOp.scalar_times_identity(v.boxA, u.m)
-        mat = (eye1 @ v.M - v.M @ eye1) + (u.M @ eye2 - eye2 @ u.M) \
-            + (u.M @ v.M - v.M @ u.M)
+        mat = (v.M.map(lambda e: commutator(u.boxA, e))
+               + u.M.map(lambda e: commutator(e, v.boxA)) + commutator(u.M, v.M))
         out = DiffOp0(k, raw.entries[0][0], mat)
     elif grades == (0, 1):
         comps = []
         for j in range(u.m):
-            c = u.boxA @ v.ops[j] - v.ops[j] @ u.boxA
+            c = commutator(u.boxA, v.ops[j])
             for beta in range(u.m):
                 c = c + u.M.entries[j][beta] @ v.ops[beta]
             comps.append(c)
         out = DiffOp1(k, comps)
     elif grades == (0, -1):
         box, op = u.boxA, v.op
-        out = DiffOpNeg1(k, box @ op - op @ box - op @ u.M.entries[0][0])
+        out = DiffOpNeg1(k, commutator(box, op) - op @ u.M.entries[0][0])
     else:
         # odd-odd pair: the anticommutator, phi o Z on A and Z o phi on P,
         # checked as a degree-0 operator by from_pair

@@ -13,6 +13,14 @@ normal-ordered product
 Section 18.1; Coutinho, A Primer of Algebraic D-Modules, 1995), the
 generalized Leibniz rule summed over the xi-exponents of A.
 
+Its alpha = 0 term is the commutative product sigma(A) sigma(B); the rest,
+the tail T(A, B), has xi-degree <= ord A + ord B - 1.  In A o B - B o A the
+two products are equal and cancel exactly, so `commutator` never forms them:
+[A, B] = T(A, B) - T(B, A).  Multiplication by a has xi-degree 0, so
+T(a, op) = 0 and delta_a(op) = -T(op, a).  In a matrix commutator only the
+terms U_ii o V_ii - V_ii o U_ii pair up this way; the anticommutator
+U o V + V o U of two odd operators adds the products: nothing cancels.
+
 Conventions fixed here and used throughout the package:
 
   * delta_a(op) = (mult by a) o op - op o (mult by a); it lowers the order
@@ -172,31 +180,12 @@ class ScalarOp(_Linear):
     __mul__ = __rmul__
 
     def __matmul__(self, other):
-        """Composition self o other: the normal-ordered product of the
-        total symbols.  The alpha = 0 term is the plain product; for
-        alpha != 0 each term c x^mu xi^s of self with s >= alpha gives the
-        term C(s, alpha) c x^mu xi^(s - alpha) of the divided
-        xi-derivative of index alpha, and each of those is multiplied once
-        by the x-derivative d^alpha of the symbol of other."""
+        """Composition self o other: sigma(self) sigma(other) + T(self, other)."""
         if not isinstance(other, ScalarOp):
             return NotImplemented
-        n = self.n
-        if other.n != n:
+        if other.n != self.n:
             raise ValueError("mismatched variable counts")
-        zero = (0,) * n
-        divided = {}  # alpha -> terms of (1/alpha!) d_xi^alpha sigma(self)
-        for s, c in self.p.terms.items():
-            ks = s[n:]
-            for alpha in itertools.islice(_subindices(ks), 1, None):
-                b = _binom(ks, alpha)
-                divided.setdefault(alpha, {})[mi_sub(s, zero + alpha)] = \
-                    c if b == 1 else _rational(c * b)
-        out = self.p * other.p
-        for alpha, terms in divided.items():
-            d = other.p.partial_sigma(alpha + zero)
-            if d.terms:
-                out = out + Poly._trusted(2 * n, terms) * d
-        return ScalarOp._trusted(n, out)
+        return ScalarOp._trusted(self.n, self.p * other.p + _tail(self, other))
 
     def __str__(self):
         coeffs = self.coeffs
@@ -212,9 +201,51 @@ class ScalarOp(_Linear):
     __repr__ = __str__
 
 
+def _tail(a, b):
+    """T(a, b): the divided xi-derivatives of sigma(a) times the x-derivatives of sigma(b)."""
+    n = a.n
+    zero = (0,) * n
+    divided = {}  # alpha -> terms of (1/alpha!) d_xi^alpha sigma(a)
+    for s, c in a.p.terms.items():
+        ks = s[n:]
+        for alpha in itertools.islice(_subindices(ks), 1, None):
+            k = _binom(ks, alpha)
+            divided.setdefault(alpha, {})[mi_sub(s, zero + alpha)] = \
+                c if k == 1 else _rational(c * k)
+    out = Poly._trusted(2 * n, {})
+    for alpha, terms in divided.items():
+        d = b.p.partial_sigma(alpha + zero)
+        if d.terms:
+            out = out + Poly._trusted(2 * n, terms) * d
+    return out
+
+
+def _bracket(a, b):
+    """[a, b] of two ScalarOps in n variables, without the product that cancels."""
+    return ScalarOp._trusted(a.n, _tail(a, b) - _tail(b, a))
+
+
 def commutator(op1, op2):
-    """[op1, op2] = op1 o op2 - op2 o op1 (both scalar or both matrix)."""
-    return op1 @ op2 - op2 @ op1
+    """[op1, op2] = op1 o op2 - op2 o op1 (both scalar or both matrix); matrix entry
+    (i, j) sums U_il o V_lj - V_il o U_lj over nonzero factors, l = i = j by `_bracket`."""
+    scalar = isinstance(op1, ScalarOp) and isinstance(op2, ScalarOp)
+    if not scalar and not (isinstance(op1, MatrixOp) and isinstance(op2, MatrixOp)):
+        raise TypeError("commutator expects two ScalarOps or two MatrixOps")
+    if op1.n != op2.n or not scalar and op1.m != op2.m:
+        raise ValueError("dimension mismatch")
+    if scalar:
+        return _bracket(op1, op2)
+    n, m, U, V = op1.n, op1.m, op1.entries, op2.entries
+    out = []
+    for i, j in itertools.product(range(m), repeat=2):
+        acc = _bracket(U[i][i], V[i][i]).p if i == j else Poly._trusted(2 * n, {})
+        for l in range(m):
+            for a, b, add in ((U[i][l], V[l][j], operator.add),
+                              (V[i][l], U[l][j], operator.sub)):
+                if a.p.terms and b.p.terms and not i == j == l:
+                    acc = add(acc, (a @ b).p)
+        out.append(ScalarOp._trusted(n, acc))
+    return MatrixOp(n, [out[i * m:(i + 1) * m] for i in range(m)])
 
 
 def graded_operands(x, y):
@@ -252,10 +283,12 @@ def delta(a, op):
     """
     if not isinstance(op, (ScalarOp, MatrixOp)):
         raise TypeError("delta expects a ScalarOp or MatrixOp")
+    if a.n != op.n:
+        raise ValueError("dimension mismatch")
     ma = ScalarOp.mult(a)
     if isinstance(op, ScalarOp):
-        return ma @ op - op @ ma
-    return op.map(lambda e: ma @ e - e @ ma)
+        return _bracket(ma, op)
+    return op.map(lambda e: _bracket(ma, e))
 
 
 def delta_nest(args, op):

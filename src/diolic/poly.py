@@ -70,9 +70,13 @@ def monomials_up_to(n, d):
         raise ValueError("variable count must be >= 1")
     if d < 0:
         raise ValueError("degree bound must be >= 0")
-    out = [s for s in itertools.product(range(d + 1), repeat=n) if sum(s) <= d]
-    out.sort(key=grlex_key)
-    return out
+    return list(_monomials(n, d))
+
+
+@functools.lru_cache(maxsize=64)
+def _monomials(n, d):
+    return tuple(sorted((s for s in itertools.product(range(d + 1), repeat=n)
+                         if sum(s) <= d), key=grlex_key))
 
 
 def mi_add(s, t):

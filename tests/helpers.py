@@ -15,7 +15,7 @@ from diolic.ops import (MatrixOp, RouteError, ScalarOp, VectorField, _binom, _su
                         delta, graded_operands)
 from diolic.derivations import (Der0, Der1, DerNeg1, hom_basis, sym_basis, tensor_basis,
                                 wedge_basis)
-from diolic.diffops import DiffOp0, DiffOp1, DiffOpNeg1
+from diolic.diffops import DiffOp0, DiffOp1, DiffOpNeg1, _block
 from diolic.brackets import (BiDer0, BiDer1, BiDerNeg1, BiDerNeg2, JacobiOp0, _as_diolic,
                              jacobiator0)
 from diolic.complexes import (ONE, ZERO, _betti, ce_cochain_dimensions,
@@ -770,3 +770,29 @@ def oracle_matrix_compose(a, b):
             row.append(acc)
         rows.append(row)
     return MatrixOp(a.n, rows)
+
+
+# commutators as two full compositions and a subtraction, as ops.commutator,
+# ops.delta and diffops.block_commutator computed them before the product of
+# the symbols, which cancels, was left out
+
+
+def oracle_commutator(a, b):
+    """a o b - b o a of two ScalarOps or two MatrixOps."""
+    return a @ b - b @ a
+
+
+def oracle_delta(a, op):
+    """(mult by a) o op - op o (mult by a), entrywise on a MatrixOp."""
+    ma = ScalarOp.mult(a)
+    if isinstance(op, ScalarOp):
+        return oracle_commutator(ma, op)
+    return op.map(lambda e: oracle_commutator(ma, e))
+
+
+def oracle_block_commutator(u, v):
+    """U@V - V@U on the blocks of u and v, or U@V + V@U when both are odd."""
+    U, V = _block(u), _block(v)
+    if u.grade % 2 and v.grade % 2:
+        return U @ V + V @ U
+    return U @ V - V @ U

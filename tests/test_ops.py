@@ -7,9 +7,12 @@ from hypothesis import given, settings, strategies as st
 from diolic.poly import Poly, PolyVec, monomials_up_to
 from diolic.ops import (MatrixOp, ScalarOp, commutator, delta, delta_nest,
                         verify_order)
+from diolic.diffops import block_commutator
 from diolic.symbols import scalar_from_symbol, smbl_scalar
 
-from helpers import (oracle_compose, oracle_matrix_compose, rng, rand_poly,
+from helpers import (oracle_block_commutator, oracle_commutator, oracle_compose,
+                     oracle_delta, oracle_matrix_compose, rng, rand_der0, rand_der1,
+                     rand_derneg1, rand_diffop0, rand_diffop1, rand_diffopneg1, rand_poly,
                      rand_scalar_op, rand_matrix_op, rand_poly_vec)
 
 
@@ -171,6 +174,78 @@ def test_commutator_order_drop():
         if a.is_zero() or b.is_zero():
             continue
         assert commutator(a, b).order() <= a.order() + b.order() - 1
+
+
+def _scalar_or_zero(r, n, order):
+    return ScalarOp.zero(n) if r.random() < 0.15 else rand_scalar_op(r, n, order, terms=4)
+
+
+def _matrix_or_zero(r, n, m, order):
+    return MatrixOp(n, [[_scalar_or_zero(r, n, order) for _ in range(m)] for _ in range(m)])
+
+
+def _graded(r, g, n, m, k):
+    """A seeded operator (or, at k = 0, a derivation) of grade g."""
+    if k == 0:
+        return {0: lambda: rand_der0(r, n, m), 1: lambda: rand_der1(r, n, m),
+                -1: lambda: rand_derneg1(r, n)}[g]()
+    return {0: lambda: rand_diffop0(r, n, m, k), 1: lambda: rand_diffop1(r, n, m, k),
+            -1: lambda: rand_diffopneg1(r, n, k)}[g]()
+
+
+def test_commutators_match_compose_and_subtract():
+    """The scalar bracket, the matrix commutator at m = 1..3, delta and
+    block_commutator equal two full compositions and a subtraction on
+    seeded operands of orders 0..3, zero operands included; block pairs
+    cover the four canonical grade pairs and their swaps."""
+    r = rng(2103)
+    for _ in range(40):
+        n, k, l = r.randint(1, 3), r.randint(0, 3), r.randint(0, 3)
+        a, b = _scalar_or_zero(r, n, k), _scalar_or_zero(r, n, l)
+        assert commutator(a, b) == oracle_commutator(a, b)
+        f = rand_poly(r, n, 2)
+        assert delta(f, a) == oracle_delta(f, a)
+        m = r.randint(1, 3)
+        U, V = _matrix_or_zero(r, n, m, k), _matrix_or_zero(r, n, m, l)
+        assert commutator(U, V) == oracle_commutator(U, V)
+        assert delta(f, U) == oracle_delta(f, U)
+    for a in (ScalarOp.zero(2), rand_scalar_op(r, 2, 3)):
+        assert commutator(a, ScalarOp.zero(2)).is_zero()
+        assert commutator(ScalarOp.zero(2), a).is_zero()
+    for gu, gv in ((0, 0), (0, 1), (0, -1), (1, -1)):
+        for _ in range(6):
+            n, m = r.randint(1, 2), 1 if -1 in (gu, gv) else r.randint(1, 2)
+            u, v = _graded(r, gu, n, m, r.randint(0, 3)), _graded(r, gv, n, m, r.randint(0, 3))
+            for x, y in ((u, v), (v, u)):
+                assert block_commutator(x, y) == oracle_block_commutator(x, y)
+
+
+def test_commutator_applied_matches_sympy():
+    """[A, B](f) = A(B(f)) - B(A(f)) with the actions taken in sympy."""
+    r = rng(2107)
+    for _ in range(6):
+        n = r.randint(1, 2)
+        xs = sympy.symbols(" ".join("x%d" % (i + 1) for i in range(n)), seq=True)
+        a, b = rand_scalar_op(r, n, r.randint(1, 3)), rand_scalar_op(r, n, r.randint(1, 3))
+        f = _sympy_poly(rand_poly(r, n, 4, 4), xs)
+        want = _sympy_apply(a, _sympy_apply(b, f, xs), xs) \
+            - _sympy_apply(b, _sympy_apply(a, f, xs), xs)
+        assert sympy.expand(_sympy_apply(commutator(a, b), f, xs) - want) == 0
+
+
+def test_commutator_errors():
+    a, b = rand_scalar_op(rng(3), 1, 2), rand_scalar_op(rng(5), 2, 2)
+    with pytest.raises(ValueError):
+        commutator(a, b)
+    with pytest.raises(ValueError):
+        commutator(MatrixOp.zero(1, 2), MatrixOp.zero(2, 2))
+    with pytest.raises(ValueError):
+        commutator(MatrixOp.zero(1, 2), MatrixOp.zero(1, 3))
+    with pytest.raises(ValueError):
+        delta(Poly.var(1, 1), b)
+    for x, y in ((a, MatrixOp.zero(1, 1)), (MatrixOp.zero(1, 1), a)):
+        with pytest.raises(TypeError):
+            commutator(x, y)
 
 
 def test_delta_examples():
