@@ -21,7 +21,9 @@ g = (x_1..x_n, e_1..e_m), by the Leibniz rule in each slot, and that is
 the one evaluation rule here: D(z) = sum_k c_k D(g_k) for every
 derivation D (`_leibniz_terms`), and `_contract` puts an argument into
 the first slot of a table of values on generator tuples.  The
-biderivations share one `eval` over their tables on generator pairs;
+biderivations share one `eval` over their tables on generator pairs, a
+first-order Jacobi bracket is a degree-0 biderivation B plus a
+derivation E, Pi(z1, z2) = B(z1, z2) + z1 E(z2) - E(z1) z2, and
 `schouten_probe_suite` contracts 2 Jac_Pi on generator triples.  No
 graded sign enters at any degree (1, 0, -1, -2 for the biderivations):
 A is even, so the Leibniz rule only splits products f e_alpha with f in
@@ -52,7 +54,7 @@ from __future__ import annotations
 import itertools
 
 from .poly import DiolicElement, Poly, PolyMat, PolyVec, monomials_up_to
-from .ops import MatrixOp, RouteError, VectorField
+from .ops import MatrixOp, RouteError, ScalarOp, VectorField
 from .derivations import Der0, graded_commutator_der
 
 
@@ -453,35 +455,75 @@ def is_poisson0(pi):
 
 def _skew_table(n, caa):
     """Check a first-order coefficient table {(sigma, tau): Poly} for
-    |sigma|, |tau| <= 1 and skew-symmetry; drop its zero entries."""
+    |sigma|, |tau| <= 1 and skew-symmetry; return it with tuple keys."""
     caa = {(tuple(s), tuple(t)): p for (s, t), p in caa.items()}
+    z = Poly.zero(n)
     for (s, t), p in caa.items():
         if len(s) != n or len(t) != n or sum(s) > 1 or sum(t) > 1:
             raise ValueError("coefficient indices must have |sigma| <= 1")
         if not isinstance(p, Poly) or p.n != n:
             raise ValueError("coefficients must be Poly in %d variables" % n)
-    for s, t in set(caa) | {(t, s) for (s, t) in caa}:
-        a = caa.get((s, t), Poly.zero(n))
-        b = caa.get((t, s), Poly.zero(n))
-        if (a + b) != Poly.zero(n):
+    for s, t in caa:
+        if not (caa[s, t] + caa.get((t, s), z)).is_zero():
             raise ValueError("coefficient table must be skew-symmetric")
-    return {k: v for k, v in caa.items() if not v.is_zero()}
+    return caa
 
 
-class JacobiOp0:
+def _from_table(n, caa, ends, g):
+    """(B, E) of a checked table caa: B's bivector is c(x_i, x_j) and E on A
+    is sum_j c(1, x_j) d_j; ends are B's matrix parts and g is E's."""
+    z = Poly.zero(n)
+    one, *units = monomials_up_to(n, 1)
+    b = BiDer0([[caa.get((s, t), z) for t in units] for s in units], ends)
+    return b, Der0(VectorField(n, [caa.get((one, t), z) for t in units]), g)
+
+
+class _BracketPair:
+    """The bracket Pi(z1, z2) = B(z1, z2) + z1 E(z2) - E(z1) z2 of a
+    degree-0 biderivation B (a `BiDer0`) and a degree-0 derivation E (a
+    `Der0`), evaluated through the generator table of B."""
+
+    __slots__ = ("n", "m", "b", "e")
+
+    def _pair(self, b, e):
+        self.n, self.m, self.b, self.e = b.n, b.m, b, e
+        return self
+
+    def eval(self, z1, z2):
+        """The value on Poly or PolyVec; two in P give the zero Poly."""
+        out = self.b.eval(z1, z2)
+        if z1.grade and z2.grade:
+            return out
+        return out + z1 * self.e(z2) - self.e(z1) * z2
+
+
+class JacobiOp0(_BracketPair):
     """Skew first-order bidifferential bracket on A (+) P, degree 0.
 
-    caa maps multi-index pairs (sigma, tau) with |sigma|, |tau| <= 1 to
-    the coefficient of d^sigma(a) d^tau(b); skewness of the coefficient
-    table is required.  dmap sends a first-slot multi-index sigma to the
-    order <= 1 matrix operator D_sigma with
-    Pi(a, p) = sum_sigma d^sigma(a) D_sigma(p).  Construction verifies
-    that the two components share their scalar behaviour in the second
-    slot: Pi(a, bp) - b Pi(a, p) = (Pi(a, b) - b Pi(a, 1)) p.  Pi(1, -)
-    need not vanish, so Pi is not a biderivation and keeps its formulas.
+    caa maps (sigma, tau) with |sigma|, |tau| <= 1 to the coefficient
+    c(sigma, tau) of d^sigma(a) d^tau(b) and must be skew; dmap sends sigma
+    to the order <= 1 matrix operator D_sigma of
+    Pi(a, p) = sum_sigma d^sigma(a) D_sigma(p).  The two must share their
+    scalar behaviour: Pi(a, bp) - b Pi(a, p) = (Pi(a, b) - b Pi(a, 1)) p.
+
+    Pi is stored as E = Pi(1, -) and B(a, z) = Pi(a, z) - a E(z) + E(a) z,
+    on A the Jacobi pair (Lambda, E) of Lichnerowicz ("Les varietes de
+    Jacobi et leurs algebres de Lie associees", 1978) and of Kirillov's
+    local Lie algebras ("Local Lie algebras", 1976).  Let R_sigma =
+    sum_tau c(sigma, tau) d^tau and N_sigma = D_sigma - R_sigma I.  As
+    [R_sigma, b] multiplies by V_sigma(b) = sum_j c(sigma, x_j) d_j b, the
+    identity reads sum_sigma d^sigma(a) [N_sigma, b](p) = 0; with a = 1,
+    then a = x_i, it holds iff each N_sigma has order <= 0.  Those n + 1
+    order tests name the first failing (a, b, e_j) on the monomials of
+    degree <= 1: a = x^sigma, b = x_k, e_j the first column with a d_k
+    term.  Then E kills 1, as Pi(1, 1) = 0, and is the Der0 with X = R_1
+    on A and X I + N_1 on P.  The terms of Pi with sigma or tau = 1 cancel
+    in B, so B(a, b) = sum_ij c(x_i, x_j) d_i(a) d_j(b) and B(a, p) =
+    sum_i d_i(a) (D_x_i + E(x_i))(p), where D_x_i + E(x_i) =
+    sum_j c(x_i, x_j) d_j I + N_x_i: B is the BiDer0 with matrix parts N_x_i.
     """
 
-    __slots__ = ("n", "m", "caa", "dmap")
+    __slots__ = ()
     grade = 0
 
     def __init__(self, n, m, caa, dmap):
@@ -493,79 +535,27 @@ class JacobiOp0:
                 raise ValueError("second-slot operators must be m x m MatrixOp")
             if op.order() > 1:
                 raise ValueError("second-slot operators must have order <= 1")
-        self.n = n
-        self.m = m
-        self.caa = _skew_table(n, caa)
-        self.dmap = {k: v for k, v in dmap.items() if not v.is_zero()}
-        self._validate()
-
-    def _validate(self):
-        """Check F(a, b, p) = Pi(a, bp) - b Pi(a, p) - S(a, b) p = 0 with
-        S(a, b) = Pi(a, b) - b Pi(a, 1), on a, b of degree <= 1 and p = e_j.
-
-        This is exact.  Every term of F is first order in a, and F is
-        first order in b (D_sigma and Pi(a, -) on A have order <= 1), so
-        F(-, -, e_j) vanishes iff it kills the monomials of degree <= 1 in
-        a and in b.  Then Pi(a, g e_j) = g Pi(a, e_j) + S(a, g) e_j for all
-        g, and S(a, -) is a derivation (a first-order operator that kills
-        1), so F(a, b, f e_j) = (S(a, bf) - b S(a, f) - f S(a, b)) e_j = 0:
-        F vanishes on all of P.  That is (n+1)^2 m evaluations.
-        """
-        n, m = self.n, self.m
-        one = Poly.one(n)
-        monos = [Poly.monomial(n, s) for s in monomials_up_to(n, 1)]
-        for a in monos:
-            pa1 = self.eval_aa(a, one)
-            for b in monos:
-                scalar = self.eval_aa(a, b) - b * pa1
-                for j in range(m):
-                    p = PolyVec.basis(n, m, j)
-                    lhs = self.eval_ap(a, b * p) - b * self.eval_ap(a, p)
-                    if not (lhs - scalar * p).is_zero():
-                        raise ValueError(
-                            "components do not share scalar behaviour at "
-                            "(a, b, p) = (%s, %s, e%d)" % (a, b, j + 1))
-
-    def eval(self, z1, z2):
-        """Dispatch on homogeneous arguments (Poly or PolyVec); two P
-        arguments give the zero Poly of grade 2."""
-        if not isinstance(z1, (Poly, PolyVec)) or not isinstance(z2, (Poly, PolyVec)):
-            raise TypeError("arguments must be Poly or PolyVec")
-        if z1.grade:
-            return Poly.zero(self.n) if z2.grade else -self.eval_ap(z2, z1)
-        return self.eval_ap(z1, z2) if z2.grade else self.eval_aa(z1, z2)
-
-    def eval_aa(self, a, b):
-        out = Poly.zero(self.n)
-        for (s, t), c in self.caa.items():
-            da = a.partial_sigma(s)
-            if da.is_zero():
-                continue
-            db = b.partial_sigma(t)
-            if not db.is_zero():
-                out = out + c * da * db
-        return out
-
-    def eval_ap(self, a, p):
-        out = PolyVec.zero(self.n, self.m)
-        for s, op in self.dmap.items():
-            da = a.partial_sigma(s)
-            if not da.is_zero():
-                out = out + da * (op @ p)
-        return out
+        caa = _skew_table(n, caa)
+        _, *units = monos = monomials_up_to(n, 1)
+        parts = []
+        for s in monos:
+            row = ScalarOp(n, {t: c for (s2, t), c in caa.items() if s2 == s})
+            n_s = dmap.get(s, MatrixOp.zero(n, m)) - MatrixOp.scalar_times_identity(row, m)
+            if n_s.order() > 0:
+                k, j = min((k, j) for r in n_s.entries for j, e in enumerate(r)
+                           for k, t in enumerate(units) if t in e.coeffs)
+                raise ValueError(
+                    "components do not share scalar behaviour at (a, b, p) = (%s, %s, e%d)"
+                    % (Poly.monomial(n, s), Poly.var(n, k + 1), j + 1))
+            parts.append(n_s.order_zero_polymat())
+        self._pair(*_from_table(n, caa, parts[1:], parts[0]))
 
 
-def _pair_table(bracket, elems):
-    """table[i][j] = bracket(u_i, u_j) on a list of (label, element) pairs."""
-    return [[bracket(u, v) for _, v in elems] for _, u in elems]
-
-
-def _jacobiator_triples(bracket, elems, table=None):
+def _jacobiator_triples(bracket, elems):
     """Named nonzero cyclic Jacobiators [[u, v], w] + [[v, w], u] + [[w, u], v]
     of a skew bracket on the triples u < v < w of elems, a list of
-    (label, element) pairs; table, if given, is their _pair_table."""
-    if table is None:
-        table = _pair_table(bracket, elems)
+    (label, element) pairs."""
+    table = [[bracket(u, v) for _, v in elems] for _, u in elems]
     out = []
     for i, j, k in itertools.combinations(range(len(elems)), 3):
         (lu, u), (lv, v), (lw, w) = elems[i], elems[j], elems[k]
@@ -575,84 +565,69 @@ def _jacobiator_triples(bracket, elems, table=None):
     return out
 
 
-def _order2_probes(n):
-    """The monomials of degree <= 2, C(n+2, 2) of them, labelled by their text."""
-    return [(str(a), a) for a in
-            (Poly.monomial(n, s) for s in monomials_up_to(n, 2))]
+def _probes(n):
+    """The monomials 1, x_1..x_n of degree <= 1, labelled by their text."""
+    return [(str(a), a) for a in (Poly.monomial(n, s) for s in monomials_up_to(n, 1))]
 
 
 def is_jacobi0(b):
     """Exact degree-0 Jacobi test; returns (verdict, named residuals).
 
-    Write J(z1, z2, z3) = Pi(Pi(z1,z2),z3) - Pi(z1,Pi(z2,z3)) + Pi(z2,Pi(z1,z3)).
-    Pi is skew and first order in each slot, so J is alternating in its
-    A slots and has order <= 2 in each slot (a first-order operator
-    composed with one).  The residuals come in three families:
+    J = `jacobiator0` vanishes once two arguments lie in P, and is
+    alternating in its A slots.  It is first order in each A slot: by
+    skewness, J(-, z2, z3) = [L_z3, L_z2] + L_Pi(z2,z3) with L_y = Pi(y, -),
+    and [L_y, a] multiplies by the element Pi(y, a) - a Pi(y, 1) of
+    A (+) P (on P by the shared scalars of JacobiOp0), so
+    [[[L_u, L_v], a], b] = [[L_u, a], [L_v, b]] + [[L_u, b], [L_v, a]]
+    commutes multiplications and vanishes (Grabowski and Marmo, "Jacobi
+    structures revisited", 2001, on A).  By the order fact above, the
+    monomials 1, x_1..x_n then decide each A slot.  The residuals:
 
-      * the A-part: J on the monomial triples a1 < a2 < a3 of degree <= 2,
-        C(N, 3) of them with N = C(n+2, 2); this decides J on A^3;
-      * the P-part: J(a1, a2, e_j) on the pairs a1 < a2 of degree <= 2,
-        reported once, as jacobiator(a1; a2; e_j): unfolding the
+      * the A-part: J on their triples a1 < a2 < a3, C(n+1, 3) of them;
+      * the P-part: J(a1, a2, e_j) on their pairs a1 < a2, C(n+1, 2) m
+        values, reported once, as jacobiator(a1; a2; e_j): unfolding the
         evaluation rules gives the two placements of e_j in another slot
         the same value up to sign, so they add nothing;
       * jacobi_pde[i,j](e_k) = J(x_i, x_j, e_k), the first-order
-        compatibility PDE on coordinate pairs, read back from the P-part.
+        compatibility PDE on coordinate pairs.
 
-    Constant sections suffice for the P-part.  With S(a, b) = Pi(a, b) -
-    b Pi(a, 1), the construction identity Pi(a, bp) = b Pi(a, p) + S(a, b) p
-    of JacobiOp0 unfolds to J(a1, a2, bp) = b J(a1, a2, p) +
-    (J(a1, a2, b) - b J(a1, a2, 1)) p.  Once the A-part vanishes, J(a1, a2, -)
-    is A-linear on P and fixed by its values on e_1..e_m; while it does
-    not, the verdict is fail either way.
+    In the P slot constant sections suffice: the shared scalars unfold to
+    J(a1, a2, bp) = b J(a1, a2, p) + (J(a1, a2, b) - b J(a1, a2, 1)) p, so
+    once the A-part vanishes J(a1, a2, -) is A-linear on P and fixed by
+    its values on e_1..e_m; while it does not, the verdict is fail anyway.
     """
     n, m = b.n, b.m
-    monos = _order2_probes(n)
-    aa = _pair_table(b.eval_aa, monos)
-    residuals = _jacobiator_triples(b.eval_aa, monos, aa)
-    sections = [(PolyVec.basis(n, m, j), "e%d" % (j + 1)) for j in range(m)]
-    ap = [[b.eval_ap(a, p) for p, _ in sections] for _, a in monos]
-    p_part = {}  # (a1 label, a2 label, e_j label) -> J(a1, a2, e_j), zeros kept
-    for i1, i2 in itertools.combinations(range(len(monos)), 2):
-        (l1, a1), (l2, a2) = monos[i1], monos[i2]
-        a12 = aa[i1][i2]
-        for jp, (p, lbl) in enumerate(sections):
-            v = b.eval_ap(a12, p) - b.eval_ap(a1, ap[i2][jp]) \
-                + b.eval_ap(a2, ap[i1][jp])
-            p_part[l1, l2, lbl] = v
+    monos = _probes(n)
+    residuals = _jacobiator_triples(b.eval, monos)
+    pde = []
+    for (i1, (l1, a1)), (i2, (l2, a2)) in itertools.combinations(enumerate(monos), 2):
+        for j in range(m):
+            v = jacobiator0(b, a1, a2, PolyVec.basis(n, m, j))
             if not v.is_zero():
-                residuals.append(("jacobiator(%s; %s; %s)" % (l1, l2, lbl), v))
-
-    x = [str(Poly.var(n, i + 1)) for i in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        for _, lbl in sections:
-            v = p_part[x[i], x[j], lbl]
-            if not v.is_zero():
-                residuals.append(("jacobi_pde[%d,%d](%s)" % (i + 1, j + 1, lbl), v))
-
-    return not residuals, residuals
+                residuals.append(("jacobiator(%s; %s; e%d)" % (l1, l2, j + 1), v))
+                if i1:  # monos[i] = x_i
+                    pde.append(("jacobi_pde[%d,%d](e%d)" % (i1, i2, j + 1), v))
+    return not residuals, residuals + pde  # each pde value is a P-part residual
 
 
-class JacobiNeg1:
-    """Degree -1 Jacobi data on a rank-1 module: {f p0, g p0} = J(f, g) p0."""
+class JacobiNeg1(_BracketPair):
+    """Degree -1 Jacobi data on a rank-1 module: {f p0, g p0} = J(f, g) p0,
+    with J the bracket of the first-order skew table caa on A, stored as
+    the pair (B, E) of `JacobiOp0` with zero matrix parts."""
 
-    __slots__ = ("n", "caa")
+    __slots__ = ()
 
-    def __init__(self, n, caa, m=1):
-        if m != 1:
-            raise ValueError("degree -1 Jacobi brackets exist only at rank 1")
-        self.n = n
-        self.caa = _skew_table(n, caa)
-
-    # the bracket on f p0, g p0 is the A-A part of a first-order bracket
-    eval = JacobiOp0.eval_aa
+    def __init__(self, n, caa):
+        zero = PolyMat.zero(n, 1)
+        self._pair(*_from_table(n, _skew_table(n, caa), [zero] * n, zero))
 
 
 def jacobi_neg1_residuals(j):
-    """Nonzero Jacobiators of the rank-1 bracket on the monomial triples
-    f < g < h of degree <= 2.  The bracket is skew and first order in each
-    slot, so its Jacobiator is alternating and of order <= 2 in each slot;
-    these C(N, 3) triples, N = C(n+2, 2), decide it."""
-    return _jacobiator_triples(j.eval, _order2_probes(j.n))
+    """Nonzero Jacobiators of the rank-1 bracket on the triples f < g < h
+    of 1, x_1..x_n.  As in `is_jacobi0` (on A, where [L_y, a] multiplies
+    by a function) the Jacobiator is alternating and first order in each
+    slot, so these C(n+1, 3) triples decide it."""
+    return _jacobiator_triples(j.eval, _probes(j.n))
 
 
 def is_jacobi_neg1(j):
@@ -662,16 +637,9 @@ def is_jacobi_neg1(j):
 
 
 def jacobi_from_poisson(pi):
-    """Lift a degree-0 Poisson biderivation to a Jacobi-type bracket
-    with Pi(1, -) = 0: the bivector table, and the Hamiltonian of x_i as
-    the second-slot operator of d/dx_i."""
-    n = pi.n
-    basis = [tuple(1 if l == i else 0 for l in range(n)) for i in range(n)]
-    caa = {(si, sj): pi.aa[i][j] for i, si in enumerate(basis)
-           for j, sj in enumerate(basis)}
-    dmap = {si: pi.hamiltonian(Poly.var(n, i + 1)).as_diffop().boxP()
-            for i, si in enumerate(basis)}
-    return JacobiOp0(n, pi.m, caa, dmap)
+    """Lift a degree-0 Poisson biderivation to the Jacobi-type bracket
+    with Pi(1, -) = 0: the pair (pi, 0), valid with no check."""
+    return JacobiOp0.__new__(JacobiOp0)._pair(pi, Der0.zero(pi.n, pi.m))
 
 
 def _adjoint_curvature(l, alpha, beta):

@@ -26,7 +26,8 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .poly import DiolicElement, ParseError, Poly, PolyMat, PolyVec, parse_poly
+from .poly import (DiolicElement, ParseError, Poly, PolyMat, PolyVec, monomials_up_to,
+                   parse_poly)
 from .ops import MatrixOp, RouteError, ScalarOp, VectorField
 from .derivations import Der0, Der1, DerNeg1, graded_commutator_der
 from .diffops import (DiffOp0, DiffOp1, check_k_connection,
@@ -115,10 +116,20 @@ def _records(data, keys, name):
     return data
 
 
+def _unique(items, name):
+    """The dict of (key, value) items; a key given twice is an input error."""
+    out = {}
+    for key, value in items:
+        if key in out:
+            raise InputError("%s: key %s given twice" % (name, json.dumps(key)))
+        out[key] = value
+    return out
+
+
 def _sigma(value, n, name):
     """A multi-index: a list of n non-negative integers."""
-    if (not isinstance(value, list) or len(value) != n
-            or any(not isinstance(e, int) or e < 0 for e in value)):
+    if (not isinstance(value, list) or len(value) != n or any(
+            not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in value)):
         raise InputError("%s: sigma must be %d non-negative integers" % (name, n))
     return tuple(value)
 
@@ -177,7 +188,7 @@ def _fraction_tensor(data, shape, name):
 def _read_poisson0(data, n, m, caps):
     if not isinstance(data["bivector"], dict):
         raise InputError("bivector must map 'i,j' keys to polynomials")
-    upper = {}
+    items = []
     for key, text in sorted(data["bivector"].items()):
         try:
             i, j = (int(t) for t in key.split(","))
@@ -185,7 +196,8 @@ def _read_poisson0(data, n, m, caps):
             raise InputError("bad bivector key %r" % key)
         if not 1 <= i < j <= n:
             raise InputError("bivector key %r out of range" % key)
-        upper[(i, j)] = _poly(text, n, "bivector[%s]" % key)
+        items.append(((i, j), _poly(text, n, "bivector[%s]" % key)))
+    upper = _unique(items, "bivector")
     end = data["end_part"]
     if not isinstance(end, list) or len(end) != n:
         raise InputError("end_part must list n matrices")
@@ -203,26 +215,42 @@ def _poisson0_json(pi):
 
 
 def _jacobi_aa(data, n):
-    return {(_sigma(rec["sigma"], n, "jacobi_aa"), _sigma(rec["tau"], n, "jacobi_aa")):
-            _poly(rec["coeff"], n, "jacobi_aa.coeff")
-            for rec in _records(data, ("sigma", "tau", "coeff"), "jacobi_aa")}
+    return _unique((((_sigma(rec["sigma"], n, "jacobi_aa"), _sigma(rec["tau"], n, "jacobi_aa")),
+                     _poly(rec["coeff"], n, "jacobi_aa.coeff"))
+                    for rec in _records(data, ("sigma", "tau", "coeff"), "jacobi_aa")),
+                   "jacobi_aa")
 
 
-def _caa_json(caa):
-    return [{"sigma": list(s), "tau": list(t), "coeff": str(caa[(s, t)])}
-            for (s, t) in sorted(caa)]
+def _caa_json(j):
+    """jacobi_aa of the pair (B, E): c(x_i, x_j) is the bivector of B, and
+    c(1, x_j) = -c(x_j, 1) = E(x_j)."""
+    one, *units = monomials_up_to(j.n, 1)
+    caa = {}
+    for s, x, row in zip(units, j.e.X.comps, j.b.aa):
+        caa[one, s], caa[s, one] = x, -x
+        caa.update(zip([(s, t) for t in units], row))
+    return [{"sigma": list(s), "tau": list(t), "coeff": str(c)}
+            for (s, t), c in sorted(caa.items()) if not c.is_zero()]
 
 
 def _read_jacobi0(data, n, m, caps):
-    return JacobiOp0(n, m, _jacobi_aa(data["jacobi_aa"], n), {
-        _sigma(rec["sigma"], n, "jacobi_ap"): _matrix_op(rec["op"], n, m, "jacobi_ap.op")
-        for rec in _records(data["jacobi_ap"], ("sigma", "op"), "jacobi_ap")})
+    return JacobiOp0(n, m, _jacobi_aa(data["jacobi_aa"], n), _unique(
+        ((_sigma(rec["sigma"], n, "jacobi_ap"), _matrix_op(rec["op"], n, m, "jacobi_ap.op"))
+         for rec in _records(data["jacobi_ap"], ("sigma", "op"), "jacobi_ap")), "jacobi_ap"))
 
 
 def _jacobi0_json(j):
-    return {"n": j.n, "m": j.m, "jacobi_aa": _caa_json(j.caa),
+    """jacobi_ap of the pair (B, E): the operator of 1 is E on P, and that
+    of x_i is B(x_i, -) on P minus E(x_i)."""
+    n, m = j.n, j.m
+    one, *units = monomials_up_to(n, 1)
+    ops = {one: j.e.as_diffop().boxP()}
+    for i, s in enumerate(units):
+        ops[s] = (j.b.hamiltonian(Poly.var(n, i + 1)).as_diffop().boxP()
+                  - MatrixOp.from_polymat(PolyMat.scalar(n, m, j.e.X.comps[i])))
+    return {"n": n, "m": m, "jacobi_aa": _caa_json(j),
             "jacobi_ap": [{"sigma": list(s), "op": _matrix_op_json(op)}
-                          for s, op in sorted(j.dmap.items())]}
+                          for s, op in sorted(ops.items()) if not op.is_zero()]}
 
 
 def _read_jacobi_neg1(data, n, m, caps):
@@ -272,10 +300,11 @@ def _check_diffop(obj):
 
 def _read_k_connection(data, n, m, caps):
     k = _cap("k", _as_int(data["k"], "k", 1), caps)
-    table = {_sigma(rec["sigma"], n, "nabla"): DiffOp0.from_pair(
-                 _scalar_op(rec["boxA"], n, "nabla.boxA"),
-                 _matrix_op(rec["M"], n, m, "nabla.M"), k)
-             for rec in _records(data["nabla"], ("sigma", "boxA", "M"), "nabla")}
+    table = _unique(((_sigma(rec["sigma"], n, "nabla"), DiffOp0.from_pair(
+                         _scalar_op(rec["boxA"], n, "nabla.boxA"),
+                         _matrix_op(rec["M"], n, m, "nabla.M"), k))
+                     for rec in _records(data["nabla"], ("sigma", "boxA", "M"), "nabla")),
+                    "nabla")
     return table, k, n, m
 
 
@@ -336,7 +365,7 @@ KINDS = {
     "jacobi0": (("n", "m", "jacobi_aa", "jacobi_ap"), _read_jacobi0, _jacobi0_json,
                 lambda j: is_jacobi0(j)),
     "jacobi_neg1": (("n", "m", "jacobi_aa"), _read_jacobi_neg1,
-                    lambda j: {"n": j.n, "m": 1, "jacobi_aa": _caa_json(j.caa)},
+                    lambda j: {"n": j.n, "m": 1, "jacobi_aa": _caa_json(j)},
                     lambda j: _all_zero(jacobi_neg1_residuals(j))),
     "algebroid": (("n", "m", "anchor", "structure"), _read_algebroid, _algebroid_json,
                   lambda l: is_lie_algebroid(l)),

@@ -18,6 +18,7 @@ from diolic.derivations import (Der0, Der1, DerNeg1, hom_basis, sym_basis, tenso
 from diolic.diffops import DiffOp0, DiffOp1, DiffOpNeg1, _block
 from diolic.brackets import (BiDer0, BiDer1, BiDerNeg1, BiDerNeg2, JacobiOp0, _as_diolic,
                              jacobiator0)
+from diolic import cli
 from diolic.complexes import (ONE, ZERO, _betti, ce_cochain_dimensions,
                               ce_differential, check_cap, rank)
 
@@ -174,9 +175,38 @@ def oracle_verify_diolic_diffop(boxA, boxP, k):
     return by_order
 
 
-def oracle_jacobi_from_poisson(pi):
-    """jacobi_from_poisson with the Hamiltonian of x_i assembled by hand:
-    end[i] plus sum_j aa[i][j] d/dx_j times the identity."""
+class RawJacobi0:
+    """A first-order bracket kept as its raw tables: caa {(sigma, tau): Poly}
+    and dmap {sigma: MatrixOp}, evaluated by the closed formulas
+    Pi(a, b) = sum c(sigma, tau) d^sigma(a) d^tau(b) and
+    Pi(a, p) = sum d^sigma(a) D_sigma(p), never through a biderivation."""
+
+    def __init__(self, n, m, caa, dmap=None):
+        self.n, self.m = n, m
+        self.caa = {(tuple(s), tuple(t)): c for (s, t), c in caa.items()}
+        self.dmap = {tuple(s): op for s, op in (dmap or {}).items()}
+
+    def build(self):
+        """The engine's bracket, through its table constructor."""
+        return JacobiOp0(self.n, self.m, self.caa, self.dmap)
+
+    def eval_aa(self, a, b):
+        out = Poly.zero(self.n)
+        for (s, t), c in self.caa.items():
+            out = out + c * a.partial_sigma(s) * b.partial_sigma(t)
+        return out
+
+    def eval_ap(self, a, p):
+        out = PolyVec.zero(self.n, self.m)
+        for s, op in self.dmap.items():
+            out = out + a.partial_sigma(s) * (op @ p)
+        return out
+
+
+def raw_lift(pi):
+    """The tables of jacobi_from_poisson(pi) assembled by hand: the
+    bivector, and end[i] plus sum_j aa[i][j] d/dx_j times the identity as
+    the operator of x_i."""
     n, m = pi.n, pi.m
     caa = {}
     for i in range(n):
@@ -195,23 +225,53 @@ def oracle_jacobi_from_poisson(pi):
                     pi.aa[i][jj] * ScalarOp.partial(n, jj + 1), m)
         if not ham.is_zero():
             dmap[si] = ham
-    return JacobiOp0(n, m, caa, dmap)
+    return RawJacobi0(n, m, caa, dmap)
 
 
-def oracle_validate_jacobi0(op, probe_degree=2):
-    """Raise ValueError unless the two components of op share their scalar
-    behaviour on all probes of degree <= probe_degree (JacobiOp0's check)."""
-    n, m = op.n, op.m
+def oracle_jacobi_from_poisson(pi):
+    """jacobi_from_poisson through the table constructor and its check."""
+    return raw_lift(pi).build()
+
+
+def raw_jacobi_problem(data):
+    """The raw tables of a jacobi0 or jacobi_neg1 problem, read with the
+    field readers of the CLI."""
+    n, m = data["n"], data["m"]
+    dmap = {cli._sigma(r["sigma"], n, "jacobi_ap"): cli._matrix_op(r["op"], n, m, "op")
+            for r in data.get("jacobi_ap", [])}
+    return RawJacobi0(n, m, cli._jacobi_aa(data["jacobi_aa"], n), dmap)
+
+
+def rand_jacobi0_tables(r, n, m, deg=1):
+    """Seeded tables of a valid JacobiOp0 with Pi(1, -) != 0 likely: a
+    random skew table and D_sigma = R_sigma I + a random PolyMat, where
+    R_sigma = sum_tau c(sigma, tau) d^tau."""
+    monos = monomials_up_to(n, 1)
+    caa = {}
+    for s, t in itertools.combinations(monos, 2):
+        c = rand_poly(r, n, deg)
+        caa[(s, t)], caa[(t, s)] = c, -c
+    dmap = {s: MatrixOp.scalar_times_identity(
+                ScalarOp(n, {t: c for (s2, t), c in caa.items() if s2 == s}), m)
+            + MatrixOp.from_polymat(rand_poly_mat(r, n, m, deg)) for s in monos}
+    return RawJacobi0(n, m, caa, dmap)
+
+
+def oracle_validate_jacobi0(raw, probe_degree=2):
+    """Raise ValueError unless the two components of the raw tables share
+    their scalar behaviour on all probes of degree <= probe_degree, with
+    the message of JacobiOp0's check."""
+    n, m = raw.n, raw.m
     one = Poly.one(n)
     for sa in monomials_up_to(n, probe_degree):
         a = Poly.monomial(n, sa)
-        pa1 = op.eval_aa(a, one)
+        pa1 = raw.eval_aa(a, one)
         for sb in monomials_up_to(n, probe_degree):
             b = Poly.monomial(n, sb)
-            scalar = op.eval_aa(a, b) - b * pa1
+            scalar = raw.eval_aa(a, b) - b * pa1
             for j in range(m):
                 p = PolyVec.basis(n, m, j)
-                lhs = op.eval_ap(a, b * p) - b * op.eval_ap(a, p)
+                lhs = raw.eval_ap(a, b * p) - b * raw.eval_ap(a, p)
                 if not (lhs - scalar * p).is_zero():
                     raise ValueError(
                         "components do not share scalar behaviour at "
@@ -331,7 +391,8 @@ def oracle_schouten_probe_suite(pi, degree=2):
 
 
 def oracle_is_jacobi0(b, probe_degree=3):
-    """Exact degree-0 Jacobi test; returns (verdict, named residuals).
+    """Exact degree-0 Jacobi test of the raw tables b (a RawJacobi0);
+    returns (verdict, named residuals).
 
     The Jacobiator is evaluated on all monomial triples of degree up to
     probe_degree per slot with at most one slot in P, and the first-order
@@ -382,16 +443,17 @@ def oracle_is_jacobi0(b, probe_degree=3):
 
 
 def oracle_jacobi_neg1_residuals(j, probe_degree=3):
-    """Nonzero Jacobiators of the rank-1 bracket on monomial triples."""
-    n = j.n
+    """Nonzero Jacobiators of the rank-1 bracket of the raw table j (a
+    RawJacobi0) on monomial triples."""
+    n, bracket = j.n, j.eval_aa
     out = []
     monos = [Poly.monomial(n, s) for s in monomials_up_to(n, probe_degree)]
     for f in monos:
         for g in monos:
-            jfg = j.eval(f, g)
+            jfg = bracket(f, g)
             for h in monos:
-                v = (j.eval(jfg, h) + j.eval(j.eval(g, h), f)
-                     + j.eval(j.eval(h, f), g))
+                v = (bracket(jfg, h) + bracket(bracket(g, h), f)
+                     + bracket(bracket(h, f), g))
                 if not v.is_zero():
                     out.append(("jacobiator(%s; %s; %s)" % (f, g, h), v))
     return out

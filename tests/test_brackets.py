@@ -15,7 +15,8 @@ from diolic.brackets import (BiDer0, BiDer1, BiDerNeg1, BiDerNeg2,
                              jacobi_from_poisson, jacobiator0,
                              schouten_probe_suite, schouten_self_eval)
 
-from helpers import oracle_bider_eval, rng, rand_bider0, rand_poly, rand_poly_vec
+from helpers import (oracle_bider_eval, rng, rand_bider0, rand_jacobi0_tables, rand_poly,
+                     rand_poly_vec)
 
 
 def so3_bider(m=1, end=None):
@@ -360,6 +361,51 @@ def test_jacobi_constructor_rejects_incompatible_components():
     dmap = {(0,): MatrixOp(n, [[ScalarOp.mult(Poly.var(n, 1))]])}
     with pytest.raises(ValueError, match="scalar"):
         JacobiOp0(n, 1, witt_caa(), dmap)
+
+
+def test_jacobi0_pair_matches_table_formulas():
+    """B.eval(z1, z2) + z1 E(z2) - E(z1) z2 against the closed formulas of
+    the raw tables on A-A, A-P and P-A arguments, mostly with
+    E = Pi(1, -) != 0."""
+    r = rng(47)
+    nonzero_e = 0
+    for n, m in ((1, 1), (2, 1), (2, 2), (3, 2)) * 3:
+        raw = rand_jacobi0_tables(r, n, m)
+        b = raw.build()
+        nonzero_e += not b.e.is_zero()
+        one = Poly.one(n)
+        for _ in range(3):
+            a, c = rand_poly(r, n, 2), rand_poly(r, n, 2)
+            p = rand_poly_vec(r, n, m, 2)
+            assert b.eval(a, c) == raw.eval_aa(a, c)
+            assert b.eval(a, p) == raw.eval_ap(a, p)
+            assert b.eval(p, a) == -raw.eval_ap(a, p)
+            assert b.e(a) == raw.eval_aa(one, a) and b.e(p) == raw.eval_ap(one, p)
+    assert nonzero_e >= 10
+
+
+def test_jacobiator_is_first_order_in_each_a_slot():
+    """The order fact behind the degree-1 probes of is_jacobi0: the
+    second-order delta J(xyf) - x J(yf) - y J(xf) + xy J(f) vanishes in
+    every A slot, also for brackets that are not Jacobi."""
+    r = rng(53)
+    nonzero = 0
+    for n, m in ((2, 1), (2, 2), (3, 1)) * 2:
+        b = rand_jacobi0_tables(r, n, m).build()
+        a1, a2, a3 = (rand_poly(r, n, 2) for _ in range(3))
+        p = rand_poly_vec(r, n, m, 1)
+        x, y = Poly.var(n, r.randint(1, n)), Poly.var(n, r.randint(1, n))
+        for args in ((a1, a2, a3), (a1, a2, p), (p, a1, a2)):
+            nonzero += not jacobiator0(b, *args).is_zero()
+            for k, f in enumerate(args):
+                if f.grade:
+                    continue
+
+                def jac(g):
+                    return jacobiator0(b, *(args[:k] + (g,) + args[k + 1:]))
+                delta = jac(x * y * f) - x * jac(y * f) - y * jac(x * f) + x * y * jac(f)
+                assert delta.is_zero()
+    assert nonzero >= 6  # the draws include Jacobiators that do not vanish
 
 
 def test_is_jacobi0_witt_and_weight_shifts():

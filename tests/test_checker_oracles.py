@@ -22,9 +22,10 @@ from diolic.brackets import (BiDer0, BiDerNeg1, JacobiNeg1, JacobiOp0,
                              is_poisson0, jacobi_from_poisson,
                              jacobi_neg1_residuals, schouten_probe_suite)
 
-from helpers import (oracle_is_jacobi0, oracle_is_lie_algebroid,
+from helpers import (RawJacobi0, oracle_is_jacobi0, oracle_is_lie_algebroid,
                      oracle_jacobi_from_poisson, oracle_jacobi_neg1_residuals,
-                     oracle_schouten_probe_suite, oracle_validate_jacobi0)
+                     oracle_schouten_probe_suite, oracle_validate_jacobi0,
+                     raw_jacobi_problem, raw_lift)
 from test_acceptance import (Budget, _broken_bundle, _so3_bundle,
                              _suite_structures, _tangent)
 
@@ -47,7 +48,9 @@ def as_verdict(residuals):
     return not residuals, residuals
 
 
-def _shipped(kind):
+def _shipped(kind, raw=False):
+    """The shipped problems of one kind, parsed; with raw, each paired with
+    its raw Jacobi tables."""
     with open(os.path.join(PROBLEMS, "manifest.json")) as fh:
         names = sorted(json.load(fh))
     out = []
@@ -55,7 +58,8 @@ def _shipped(kind):
         with open(os.path.join(PROBLEMS, name)) as fh:
             data = json.load(fh)
         if data["kind"] == kind:
-            out.append(pytest.param(parse_problem(data, dict(DEFAULT_CAPS))[1], id=name))
+            obj = parse_problem(data, dict(DEFAULT_CAPS))[1]
+            out.append(pytest.param((obj, raw_jacobi_problem(data)) if raw else obj, id=name))
     return out
 
 
@@ -67,19 +71,21 @@ def test_shipped_poisson_probe_suite_matches_oracle(pi):
     suite = schouten_probe_suite(pi, degree=2)
     assert suite == oracle_schouten_probe_suite(pi, degree=2)
     assert (suite == []) == is_poisson0(pi)[0]
-    lift = jacobi_from_poisson(pi)
-    assert_agrees(is_jacobi0(lift), oracle_is_jacobi0(lift, probe_degree=2))
+    assert_agrees(is_jacobi0(jacobi_from_poisson(pi)),
+                  oracle_is_jacobi0(raw_lift(pi), probe_degree=2))
 
 
-@pytest.mark.parametrize("b", _shipped("jacobi0"))
-def test_shipped_jacobi0_matches_oracle(b):
-    assert_agrees(is_jacobi0(b), oracle_is_jacobi0(b))
+@pytest.mark.parametrize("pair", _shipped("jacobi0", raw=True))
+def test_shipped_jacobi0_matches_oracle(pair):
+    b, raw = pair
+    assert_agrees(is_jacobi0(b), oracle_is_jacobi0(raw))
 
 
-@pytest.mark.parametrize("j", _shipped("jacobi_neg1"))
-def test_shipped_jacobi_neg1_matches_oracle(j):
+@pytest.mark.parametrize("pair", _shipped("jacobi_neg1", raw=True))
+def test_shipped_jacobi_neg1_matches_oracle(pair):
+    j, raw = pair
     assert_agrees(as_verdict(jacobi_neg1_residuals(j)),
-                  as_verdict(oracle_jacobi_neg1_residuals(j)))
+                  as_verdict(oracle_jacobi_neg1_residuals(raw)))
 
 
 @pytest.mark.parametrize("l", _shipped("algebroid"))
@@ -92,17 +98,18 @@ def test_suite_structure_matches_oracles(index):
     pi = _suite_structures()[index]
     assert schouten_probe_suite(pi, degree=1) == oracle_schouten_probe_suite(pi, degree=1)
     assert (schouten_probe_suite(pi, degree=2) == []) == is_poisson0(pi)[0]
-    lift = jacobi_from_poisson(pi)
-    assert_agrees(is_jacobi0(lift),
-                  oracle_is_jacobi0(lift, probe_degree=2 if pi.n > 2 else 3))
+    assert_agrees(is_jacobi0(jacobi_from_poisson(pi)),
+                  oracle_is_jacobi0(raw_lift(pi), probe_degree=2 if pi.n > 2 else 3))
 
 
 @pytest.mark.parametrize("pi", _shipped("poisson0") + [
     pytest.param(pi, id="suite-%d" % i) for i, pi in enumerate(_suite_structures())])
 def test_jacobi_from_poisson_matches_hand_assembled_lift(pi):
+    """The unchecked lift (pi, 0) is the pair that the table constructor
+    derives, with its check, from the hand-assembled tables."""
     lift, oracle = jacobi_from_poisson(pi), oracle_jacobi_from_poisson(pi)
-    assert list(lift.caa.items()) == list(oracle.caa.items())
-    assert list(lift.dmap.items()) == list(oracle.dmap.items())
+    assert list(lift.b.table.items()) == list(oracle.b.table.items())
+    assert lift.e == oracle.e and lift.e.is_zero()
 
 
 @pytest.mark.parametrize("pi", _shipped("poisson0") + [
@@ -180,11 +187,14 @@ def second_slot_ops(draw, n, m, caa, extra_order):
 
 @st.composite
 def jacobi_structures(draw):
+    """A bracket and its raw tables."""
     if draw(st.booleans()):
-        return jacobi_from_poisson(draw(poisson_structures()))
+        pi = draw(poisson_structures())
+        return jacobi_from_poisson(pi), raw_lift(pi)
     n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     caa = skew_first_order(draw, n)
-    return JacobiOp0(n, m, caa, second_slot_ops(draw, n, m, caa, 0))
+    raw = RawJacobi0(n, m, caa, second_slot_ops(draw, n, m, caa, 0))
+    return raw.build(), raw
 
 
 @st.composite
@@ -223,8 +233,9 @@ def test_drawn_poisson_probe_suite_matches_oracle(pi):
 
 @EXAMPLES
 @given(jacobi_structures())
-def test_drawn_jacobi0_matches_oracle(b):
-    assert_agrees(is_jacobi0(b), oracle_is_jacobi0(b))
+def test_drawn_jacobi0_matches_oracle(pair):
+    b, raw = pair
+    assert_agrees(is_jacobi0(b), oracle_is_jacobi0(raw))
 
 
 @EXAMPLES
@@ -237,23 +248,21 @@ def test_drawn_jacobi0_validation_matches_oracle(data):
             return str(exc)
         return None
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(JacobiOp0, "_validate", lambda self: None)
-        b = JacobiOp0(*data)
-    assert error(b._validate) == error(lambda: oracle_validate_jacobi0(b))
+    assert error(lambda: JacobiOp0(*data)) == \
+        error(lambda: oracle_validate_jacobi0(RawJacobi0(*data)))
 
 
 @st.composite
-def jacobi_neg1_brackets(draw):
+def jacobi_neg1_tables(draw):
     # in one variable every such bracket is Jacobi, so draw n = 2
-    return JacobiNeg1(2, skew_first_order(draw, 2))
+    return skew_first_order(draw, 2)
 
 
 @settings(EXAMPLES, max_examples=10)  # the costliest oracle of this file
-@given(jacobi_neg1_brackets())
-def test_drawn_jacobi_neg1_matches_oracle(j):
-    assert_agrees(as_verdict(jacobi_neg1_residuals(j)),
-                  as_verdict(oracle_jacobi_neg1_residuals(j)))
+@given(jacobi_neg1_tables())
+def test_drawn_jacobi_neg1_matches_oracle(caa):
+    assert_agrees(as_verdict(jacobi_neg1_residuals(JacobiNeg1(2, caa))),
+                  as_verdict(oracle_jacobi_neg1_residuals(RawJacobi0(2, 1, caa))))
 
 
 @EXAMPLES

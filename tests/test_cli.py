@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -198,6 +199,146 @@ def test_malformed_jacobi0_records_exit_2(tmp_path, jacobi_aa):
     code, out, err = run_cli("check", str(f))
     assert code == 2 and out == ""
     assert err.startswith("error: jacobi_aa") and "Traceback" not in err
+
+
+def check_doc(tmp_path, capsys, doc):
+    """(exit code, stdout, stderr) of an in-process check of doc."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check", str(path)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def with_record(name, field, record, first):
+    doc = shipped(name)
+    doc[field].insert(0 if first else len(doc[field]), record)
+    return doc
+
+
+def so3_with_key(key, value):
+    doc = shipped("poisson_so3.json")
+    doc["bivector"][key] = value
+    return doc
+
+
+# every reader of a keyed table refuses a key given twice, whatever the
+# order or the values; a dict would keep one record and drop the others
+@pytest.mark.parametrize("doc, message", [
+    (so3_with_key("1, 2", "x3"), "bivector: key [1, 2] given twice"),
+    (so3_with_key(" 1,2", "x1"), "bivector: key [1, 2] given twice"),
+    (so3_with_key("01,2", "x1"), "bivector: key [1, 2] given twice"),
+    (with_record("jacobi_witt_lift.json", "jacobi_aa",
+                 {"sigma": [0], "tau": [1], "coeff": "2"}, True),
+     "jacobi_aa: key [[0], [1]] given twice"),
+    (with_record("jacobi_witt_lift.json", "jacobi_aa",
+                 {"sigma": [0], "tau": [1], "coeff": "1"}, False),
+     "jacobi_aa: key [[0], [1]] given twice"),
+    (with_record("jacobi_neg1_witt.json", "jacobi_aa",
+                 {"sigma": [1], "tau": [0], "coeff": "-2"}, False),
+     "jacobi_aa: key [[1], [0]] given twice"),
+    (with_record("jacobi_witt_lift.json", "jacobi_ap",
+                 {"sigma": [0], "op": [[[{"sigma": [1], "coeff": "2"}]]]}, True),
+     "jacobi_ap: key [0] given twice"),
+    (with_record("jacobi_witt_lift.json", "jacobi_ap",
+                 {"sigma": [0], "op": [[[{"sigma": [1], "coeff": "2"}]]]}, False),
+     "jacobi_ap: key [0] given twice"),
+    (with_record("k_connection_ok.json", "nabla",
+                 {"sigma": [1, 0], "boxA": [{"sigma": [1, 0], "coeff": "2"}],
+                  "M": [[[{"sigma": [1, 0], "coeff": "2"}]]]}, True),
+     "nabla: key [1, 0] given twice"),
+    (with_record("k_connection_ok.json", "nabla",
+                 {"sigma": [1, 0], "boxA": [{"sigma": [1, 0], "coeff": "2"}],
+                  "M": [[[{"sigma": [1, 0], "coeff": "2"}]]]}, False),
+     "nabla: key [1, 0] given twice"),
+], ids=["bivector-space", "bivector-leading-space", "bivector-leading-zero",
+        "jacobi_aa-first", "jacobi_aa-same-value", "jacobi_neg1-last",
+        "jacobi_ap-first", "jacobi_ap-last", "nabla-first", "nabla-last"])
+def test_repeated_keys_exit_2(tmp_path, capsys, doc, message):
+    assert check_doc(tmp_path, capsys, doc) == (2, "", "error: %s\n" % message)
+
+
+def test_boolean_exponents_exit_2(tmp_path, capsys):
+    doc = {"kind": "jacobi_neg1", "n": 1, "m": 1, "jacobi_aa": [
+        {"sigma": [False], "tau": [True], "coeff": "1"},
+        {"sigma": [True], "tau": [False], "coeff": "-1"}]}
+    assert check_doc(tmp_path, capsys, doc) == (
+        2, "", "error: jacobi_aa: sigma must be 1 non-negative integers\n")
+
+
+# sha256 of the `check` report and of the canonical form of each shipped
+# problem, so that a change of any report or writer shows here
+GOLDEN = {
+    "algebroid_broken_anchor.json":
+        ("854e93b20e056af9cf827464d8d5afbe11b6b2e603decd21d643fb84a8f066a7",
+         "e6188f15a9941dcac9652256e63c9b5e2d45e33cd3c9cf628031a4d345e16ecc"),
+    "algebroid_broken_jacobi.json":
+        ("4fea079ac348368e44b00f5de88f890209f1e344df58b7df1baafdcca2bdc0c8",
+         "2dc11aea20516b844dc0e94189596e4c446732d77b95360d9fa9b822aba9c5cb"),
+    "algebroid_so3_bundle.json":
+        ("9f05598888adcd6d2105a241b438a1140fc1b431ae7a81ac35ba2ba701428af4",
+         "614dc0768cceab491ea5dcf1318642222a0ab67507dcae04cc6317fed5df441b"),
+    "algebroid_tangent.json":
+        ("9f05598888adcd6d2105a241b438a1140fc1b431ae7a81ac35ba2ba701428af4",
+         "f75b158ac8736e4b0c3b7d4a6fff6222324f62f7f6ad2f08359dfe3d0cbf2645"),
+    "ce_abelian2_trivial.json":
+        ("a1b4382bab5b089123c6c0993a66b1e25686c68a92d9a01e11c4c7f179c9bf6a",
+         "cd46e4549fc4ca18ad64c15a307f551a6b83df0ee1075551ac021b7c50107428"),
+    "ce_invalid_rep.json":
+        ("ebf86ff33af21def3c4eb448757f2eea313e3272deb175e6bb00a424539bb52b",
+         "9370c28c353dd50987633f02acce4d94e35a4a37844e65092f1313d530043738"),
+    "ce_sl2_adjoint.json":
+        ("a1b4382bab5b089123c6c0993a66b1e25686c68a92d9a01e11c4c7f179c9bf6a",
+         "a0b49e6b63000917fbcf66c1ac891e381b295f578589718e11ebfdecdb306217"),
+    "ce_sl2_trivial.json":
+        ("a1b4382bab5b089123c6c0993a66b1e25686c68a92d9a01e11c4c7f179c9bf6a",
+         "e47a07b78997ae98c05cca980cfccaa900614476c66a15941ab20d1981850f2a"),
+    "diffop_invalid.json":
+        ("e9438f64027a2bf5bda8da473b5fef5c6c57b08fa99eefb2e99f6a889e7e8b08",
+         "4824dc57e4a0b7231d859c0af4599884dfed25f59222630271e6d6ded678fb40"),
+    "diffop_valid.json":
+        ("49871a7e22fa599e04c10e461375ffbe46c2b5cfed669fa458ede2336e1530ec",
+         "18d227fe1b64b77611fdb9861e45126048c3050ad86f7f1e3bd5c37c1d618f1c"),
+    "jacobi_broken_pde.json":
+        ("e15b5582992df5aabda2ef8bb207a8e80f055c07ac40935901dd963e96643440",
+         "76f976bdcc6275032a0ac9a2cb0e8c73f3962b9b8f5149ed497abe3d2be0a5af"),
+    "jacobi_neg1_witt.json":
+        ("d0686f7d9cdf573af81006ecd9b2784dd4adaad02d3844d697eeefe65fb2d1b3",
+         "017c5efe1b79706139f8c6d696128426e69868fe9e10e2f01246a159a172cc8e"),
+    "jacobi_witt_lift.json":
+        ("0d2abc9d3ab9cf2684af259a44f50259887ec77cf2981d208b8c1c3f8d1f2e28",
+         "876b4a4ab4809b219ab66e9dfddc318026a3b1e6562468c55fc9f4c701a1cefe"),
+    "k_connection_bad.json":
+        ("6ac9b4d4a0fbe24f9bba6f19d66dad467c7e45421174c9e34bdf33cf0adf555f",
+         "5faddba992a8a4d9bd3f8e852033977d514d4278579c42ffbb21ef717a686ca3"),
+    "k_connection_ok.json":
+        ("5e8684a35f6389c07d86816b5ebe9ae0b647619183e0b2bab280db396957430f",
+         "d0b45f4bf8c343c7c46709caefc766d387ec9ea6c61e0b58e060658dd5aa55b4"),
+    "poisson_broken_bivector.json":
+        ("dfb7a7151cb835554e8c718ff07065e372aa570f23b86602d929bca8f3168d23",
+         "18b8cbff06354b4fd39b01d70c2bf23ddfed191a8ea6469aa2fdb0c62310658b"),
+    "poisson_broken_end.json":
+        ("45a070e13dbc869d82cea05530107c240496b8cc03137471ef06e8b07d1dabcc",
+         "d9eda2e865c32f418f6b9d6af65e46dc1d2fb98c15f54c68ee878ef26aaf7c01"),
+    "poisson_noncommuting_end.json":
+        ("aca4696f34e7ff1e23f47dbecd5cde81b2ceae4e87064b29c03298fb2c714114",
+         "6e5df09d852445ace657500c09054c10f731eeff7254730357ad803c60b1cc08"),
+    "poisson_so3.json":
+        ("9568261e146baae907748bbefce37b7a8c0117c5c3ed562d723674766a507182",
+         "cf82d94c3ee3fb77315f5b9cca8cf89fbbfc96c695e4d28d9151c8c14b85f467"),
+    "poisson_symplectic_const_end.json":
+        ("9568261e146baae907748bbefce37b7a8c0117c5c3ed562d723674766a507182",
+         "617bcb2d33b19640763f7085bb5a5538444e33216fec9565f389bff70c8d6482"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(manifest()))
+def test_shipped_outputs_golden(name, capsys):
+    assert main(["check", os.path.join(PROBLEMS, name)]) == manifest()[name]
+    canon = canonical_problem_json(shipped(name), dict(DEFAULT_CAPS))
+    assert (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+            hashlib.sha256(json.dumps(canon, sort_keys=True).encode()).hexdigest()) \
+        == GOLDEN[name]
 
 
 def test_cohomology_ce_files():
