@@ -580,7 +580,7 @@ def is_jacobi0(b):
     A (+) P (on P by the shared scalars of JacobiOp0), so
     [[[L_u, L_v], a], b] = [[L_u, a], [L_v, b]] + [[L_u, b], [L_v, a]]
     commutes multiplications and vanishes (Grabowski and Marmo, "Jacobi
-    structures revisited", 2001, on A).  By the order fact above, the
+    structures revisited", 2001, on A).  By the order fact of this module, the
     monomials 1, x_1..x_n then decide each A slot.  The residuals:
 
       * the A-part: J on their triples a1 < a2 < a3, C(n+1, 3) of them;
