@@ -24,11 +24,13 @@ the first slot of a table of values on generator tuples.  The
 biderivations share one `eval` over their tables on generator pairs, a
 first-order Jacobi bracket is a degree-0 biderivation B plus a
 derivation E, Pi(z1, z2) = B(z1, z2) + z1 E(z2) - E(z1) z2, and
-`schouten_probe_suite` contracts 2 Jac_Pi on generator triples.  No
-graded sign enters at any degree (1, 0, -1, -2 for the biderivations):
-A is even, so the Leibniz rule only splits products f e_alpha with f in
-A, and moving a coefficient past a value changes the sign only when both
-are odd, that is in P, where their product lies in P*P = 0 and is dropped.
+`_jacobiators` is the one Jacobiator on generator triples: the Poisson,
+Jacobi and algebroid residuals are its values, and `schouten_probe_suite`
+contracts 2 Jac_Pi from them.  No graded sign enters at any degree
+(1, 0, -1, -2 for the biderivations): A is even, so the Leibniz rule
+only splits products f e_alpha with f in A, and moving a coefficient
+past a value changes the sign only when both are odd, that is in P,
+where their product lies in P*P = 0 and is dropped.
 
 Every checker decides its identity on a finite argument set that makes
 the verdict exact, using two more facts:
@@ -51,6 +53,7 @@ independently computed derivation commutator.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .poly import DiolicElement, Poly, PolyMat, PolyVec, monomials_up_to
@@ -306,6 +309,33 @@ class BiDerNeg2(_BiDer):
 # the Jacobiator and the Schouten square
 
 
+def _generators(n, m, one=False):
+    """The generators x_1..x_n, e_1..e_m; with one, 1 in front of them."""
+    units = [Poly.monomial(n, s) for s in monomials_up_to(n, 1)]
+    return units[not one:] + [PolyVec.basis(n, m, j) for j in range(m)]
+
+
+def _jacobiators(bracket, elems, triples):
+    """{(i, j, k): J} for the nonzero cyclic Jacobiators
+    J = [[u, v], w] + [[v, w], u] - [[u, w], v] of a skew bracket at
+    (u, v, w) = (elems[i], elems[j], elems[k]), over the given triples
+    i < j < k, in their order; each pair i < j is bracketed once, lazily.
+    For a degree-0 bracket and at most one argument in P this is
+    `jacobiator0`, whose sign e is then +1."""
+    pair = functools.cache(lambda i, j: bracket(elems[i], elems[j]))
+    out = {}
+    for i, j, k in triples:
+        out[i, j, k] = (bracket(pair(i, j), elems[k]) + bracket(pair(j, k), elems[i])
+                        - bracket(pair(i, k), elems[j]))
+    return {t: v for t, v in out.items() if not v.is_zero()}
+
+
+def _poisson_jacobiators(pi):
+    """J of Pi on the generator triples with at most one e: j < n."""
+    return _jacobiators(pi.eval, _generators(pi.n, pi.m), [
+        t for t in itertools.combinations(range(pi.n + pi.m), 3) if t[1] < pi.n])
+
+
 def jacobiator0(b, z1, z2, z3):
     """Jac(z1, z2, z3) = B(B(z1,z2),z3) - B(z1,B(z2,z3)) + e B(z2,B(z1,z3))
     for a bracket B of degree s = b.grade, with e = (-1)^((g1+s)(g2+s)).
@@ -348,21 +378,17 @@ def schouten_probe_suite(pi, degree=2):
     <= degree with at most one slot in P; returns [(label, DiolicElement)].
 
     [[Pi, Pi]] is a multiderivation, so its values are contracted from
-    its table on generator triples: 2 Jac_Pi(g_k, g_l, g_r) with k < l and
-    at most one g in P, built once per call.  [[Pi, Pi]] is skew in two
-    slots that hold at most one P argument, which gives (g_l, g_k, g_r)
-    and kills (g_k, g_k, g_r).  The table is contracted by z1, then by z2
-    once per argument pair, then by each third argument.  A zero table
-    gives no values at all.
+    its table on generator triples, built once per call: 2 J on the
+    triples of `_poisson_jacobiators`, at their rotations and, skew in two
+    slots that hold at most one P argument, at their swaps.  The table is
+    contracted by z1, then by z2 once per argument pair, then by each
+    third argument.  A zero table gives no values at all.
     """
     n, m = pi.n, pi.m
-    gens = [Poly.var(n, i + 1) for i in range(n)] + \
-        [PolyVec.basis(n, m, j) for j in range(m)]
     table = {}
-    for k in range(n):
-        for l in range(k + 1, n + m):
-            for r in range(n if l >= n else n + m):
-                _skew(table, (k, l, r), 2 * jacobiator0(pi, gens[k], gens[l], gens[r]))
+    for (i, j, k), v in _poisson_jacobiators(pi).items():
+        for key in ((i, j, k), (j, k, i), (k, i, j)):
+            _skew(table, key, 2 * v)
     if not table:
         return []
 
@@ -397,38 +423,29 @@ def schouten_probe_suite(pi, degree=2):
 def is_poisson0(pi):
     """Exact degree-0 Poisson test; returns (verdict, named residuals).
 
-    Three residual families are computed: the quadratic bivector PDE, the
-    compatibility PDE for the endomorphism parts (including the matrix
-    commutator term that the compose-and-subtract oracle requires), and
-    the Hamiltonian curvature [Pi(x_i, -), Pi(x_j, -)] - Pi(Pi(x_i, x_j), -)
-    computed independently through the derivation commutator.  The PDE
-    and curvature verdicts must agree.
+    [[Pi, Pi]] = 2 Jac_Pi is a multiderivation, so its values on the
+    generators decide it; it vanishes on two arguments in P and is
+    alternating otherwise, so the J of `_poisson_jacobiators` decide it.
+    By [f, x_k] = sum_l d_l(f) Pi^{lk}, J(x_i, x_j, x_k) is the cyclic sum
+    of sum_l Pi^{lk} d_l Pi^{ij}, minus the bivector PDE
+    poisson_pde[i,j,k] = sum_l Pi^{il} d_l Pi^{jk} + cyclic.  By
+    [f, e_b] = sum_i d_i(f) Pi^i e_b and [p, x_j] = -sum_l Pi^{jl} d_l p -
+    Pi^j p, J(x_j, x_k, e_b) = R e_b for the compatibility PDE of the end
+    parts, R = sum_i (d_i Pi^{jk} Pi^i + Pi^{ij} d_i Pi^k - Pi^{ik} d_i Pi^j)
+    - [Pi^j, Pi^k], whose entry (a, b) is compat_pde[j,k](a,b).
+
+    The second route, without `eval`, is the Hamiltonian curvature
+    [Pi(x_i, -), Pi(x_j, -)] - Pi(Pi(x_i, x_j), -) through the derivation
+    commutator.  The two verdicts must agree.
     """
     n, m = pi.n, pi.m
-    residuals = []
-
-    for i, j, k in itertools.combinations(range(n), 3):
-        s = Poly.zero(n)
-        for l in range(n):
-            s = (s + pi.aa[i][l] * pi.aa[j][k].partial(l + 1)
-                 + pi.aa[j][l] * pi.aa[k][i].partial(l + 1)
-                 + pi.aa[k][l] * pi.aa[i][j].partial(l + 1))
-        if not s.is_zero():
-            residuals.append(("poisson_pde[%d,%d,%d]" % (i + 1, j + 1, k + 1), s))
-
+    jac = _poisson_jacobiators(pi)
+    residuals = [("poisson_pde[%d,%d,%d]" % (i + 1, j + 1, k + 1), -v)
+                 for (i, j, k), v in jac.items() if k < n]
     for j, k in itertools.combinations(range(n), 2):
-        r = PolyMat.zero(n, m)
-        for i in range(n):
-            r = (r + pi.aa[j][k].partial(i + 1) * pi.end[i]
-                 + pi.aa[i][j] * pi.end[k].map(lambda p, i=i: p.partial(i + 1))
-                 - pi.aa[i][k] * pi.end[j].map(lambda p, i=i: p.partial(i + 1)))
-        r = r - pi.end[j].commutator(pi.end[k])
-        for alpha in range(m):
-            for beta in range(m):
-                v = r.rows[alpha][beta]
-                if not v.is_zero():
-                    residuals.append(("compat_pde[%d,%d](%d,%d)"
-                                      % (j + 1, k + 1, alpha + 1, beta + 1), v))
+        cols = [(b, jac[j, k, n + b]) for b in range(m) if (j, k, n + b) in jac]
+        residuals += [("compat_pde[%d,%d](%d,%d)" % (j + 1, k + 1, a + 1, b + 1), v.comps[a])
+                      for a in range(m) for b, v in cols if not v.comps[a].is_zero()]
 
     pde_ok = not residuals
 
@@ -551,25 +568,6 @@ class JacobiOp0(_BracketPair):
         self._pair(*_from_table(n, caa, parts[1:], parts[0]))
 
 
-def _jacobiator_triples(bracket, elems):
-    """Named nonzero cyclic Jacobiators [[u, v], w] + [[v, w], u] + [[w, u], v]
-    of a skew bracket on the triples u < v < w of elems, a list of
-    (label, element) pairs."""
-    table = [[bracket(u, v) for _, v in elems] for _, u in elems]
-    out = []
-    for i, j, k in itertools.combinations(range(len(elems)), 3):
-        (lu, u), (lv, v), (lw, w) = elems[i], elems[j], elems[k]
-        jac = bracket(table[i][j], w) + bracket(table[j][k], u) + bracket(table[k][i], v)
-        if not jac.is_zero():
-            out.append(("jacobiator(%s; %s; %s)" % (lu, lv, lw), jac))
-    return out
-
-
-def _probes(n):
-    """The monomials 1, x_1..x_n of degree <= 1, labelled by their text."""
-    return [(str(a), a) for a in (Poly.monomial(n, s) for s in monomials_up_to(n, 1))]
-
-
 def is_jacobi0(b):
     """Exact degree-0 Jacobi test; returns (verdict, named residuals).
 
@@ -596,18 +594,20 @@ def is_jacobi0(b):
     once the A-part vanishes J(a1, a2, -) is A-linear on P and fixed by
     its values on e_1..e_m; while it does not, the verdict is fail anyway.
     """
-    n, m = b.n, b.m
-    monos = _probes(n)
-    residuals = _jacobiator_triples(b.eval, monos)
-    pde = []
-    for (i1, (l1, a1)), (i2, (l2, a2)) in itertools.combinations(enumerate(monos), 2):
-        for j in range(m):
-            v = jacobiator0(b, a1, a2, PolyVec.basis(n, m, j))
-            if not v.is_zero():
-                residuals.append(("jacobiator(%s; %s; e%d)" % (l1, l2, j + 1), v))
-                if i1:  # monos[i] = x_i
-                    pde.append(("jacobi_pde[%d,%d](e%d)" % (i1, i2, j + 1), v))
+    residuals, pde = _first_order_jacobiators(b, b.m)
     return not residuals, residuals + pde  # each pde value is a P-part residual
+
+
+def _first_order_jacobiators(b, m):
+    """The residuals of `is_jacobi0` with e_1..e_m, and its pde list."""
+    n = b.n
+    gens = _generators(n, m, one=True)
+    labels = [str(a) for a in gens[:n + 1]] + ["e%d" % (j + 1) for j in range(m)]
+    jac = _jacobiators(b.eval, gens, list(itertools.combinations(range(n + 1), 3)) + [
+        (i, k, n + 1 + j) for i, k in itertools.combinations(range(n + 1), 2) for j in range(m)])
+    return ([("jacobiator(%s; %s; %s)" % tuple(labels[i] for i in t), v) for t, v in jac.items()],
+            [("jacobi_pde[%d,%d](e%d)" % (i, k, l - n), v)
+             for (i, k, l), v in jac.items() if l > n and i])  # gens[i] = x_i
 
 
 class JacobiNeg1(_BracketPair):
@@ -627,7 +627,7 @@ def jacobi_neg1_residuals(j):
     of 1, x_1..x_n.  As in `is_jacobi0` (on A, where [L_y, a] multiplies
     by a function) the Jacobiator is alternating and first order in each
     slot, so these C(n+1, 3) triples decide it."""
-    return _jacobiator_triples(j.eval, _probes(j.n))
+    return _first_order_jacobiators(j, 0)[0]
 
 
 def is_jacobi_neg1(j):
@@ -664,36 +664,32 @@ def is_lie_algebroid(l):
     """Exact algebroid test; returns (verdict, named residuals).
 
     A-linearity of the anchor and the Leibniz rule
-    [p, fq] = f[p, q] + rho_p(f) q hold by construction of the data, so:
+    [p, fq] = f[p, q] + rho_p(f) q hold by construction of the data, so,
+    with J the cyclic Jacobiator of `_jacobiators`:
 
       * the anchor defect rho[p, q] - [rho p, rho q] is A-bilinear, and the
-        basis pairs e_alpha < e_beta decide it (anchor[alpha,beta].Xi);
+        basis pairs e_a < e_b decide it; by [f, e_b] = -rho_b(f) and
+        [p, x_i] = rho(p)^i its component anchor[a,b].Xi is
+        rho([e_a, e_b])^i - rho_a(rho_b^i) + rho_b(rho_a^i) = J(x_i, e_a, e_b);
       * the Jacobiator satisfies Jac(p, q, fr) = f Jac(p, q, r) +
         (rho[p, q] - [rho p, rho q])(f) r and is alternating, so once the
         anchor defect vanishes it is A-trilinear and the C(m, 3) basis
-        triples e_alpha < e_beta < e_gamma decide it; for m < 3 nothing is
-        left to check.  While the anchor defect does not vanish the
-        verdict is fail either way.
+        triples decide it, jacobiator(1*ea; 1*eb; 1*ec) = J(e_a, e_b, e_c);
+        for m < 3 nothing is left to check.  While the anchor defect does
+        not vanish the verdict is fail either way.
 
     The second route checks [D_alpha, D_beta] = ad_[e_alpha, e_beta] on
     the basis pairs through `graded_commutator_der`
-    (see `_adjoint_curvature`); its verdict must agree.
+    (see `_adjoint_curvature`), without `eval`; its verdict must agree.
     """
     n, m = l.n, l.m
-    residuals = []
-
-    for alpha, beta in itertools.combinations(range(m), 2):
-        ebracket = PolyVec(n, [l.c[alpha].rows[g][beta] for g in range(m)])
-        lhs = l.anchor(ebracket)
-        rhs = l.rho[alpha].bracket(l.rho[beta])
-        diff = lhs - rhs
-        if not diff.is_zero():
-            for i, cmp_ in enumerate(diff.comps):
-                if not cmp_.is_zero():
-                    residuals.append(("anchor[%d,%d].X%d" % (alpha + 1, beta + 1, i + 1), cmp_))
-
-    residuals += _jacobiator_triples(
-        l.eval, [("1*e%d" % (a + 1), PolyVec.basis(n, m, a)) for a in range(m)])
+    es = range(n, n + m)
+    jac = _jacobiators(l.eval, _generators(n, m),
+                       [(i, a, b) for a, b in itertools.combinations(es, 2) for i in range(n)]
+                       + list(itertools.combinations(es, 3)))
+    residuals = [("anchor[%d,%d].X%d" % (t[1] - n + 1, t[2] - n + 1, t[0] + 1) if t[0] < n
+                  else "jacobiator(%s)" % "; ".join("1*e%d" % (i - n + 1) for i in t), v)
+                 for t, v in jac.items()]
 
     ok = not residuals
     route_ok = all(_adjoint_curvature(l, alpha, beta).is_zero()

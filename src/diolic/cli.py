@@ -80,7 +80,7 @@ def _cap(key, value, caps):
 def _load(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=lambda items: _unique(items, path))
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
@@ -428,7 +428,7 @@ def cmd_check(path, caps):
 
 def _json_spec(text, name):
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=lambda items: _unique(items, name))
     except json.JSONDecodeError as exc:
         raise InputError("%s is not valid JSON: %s" % (name, exc.msg))
     if not isinstance(data, dict):
@@ -436,12 +436,12 @@ def _json_spec(text, name):
     return data
 
 
-def _infer_n(ops, name):
-    """The length of the first sigma list among the records of the operators."""
+def _infer_n(ops, name, caps):
+    """The capped length of the first sigma list among the operators' records."""
     for op in ops:
         for rec in op if isinstance(op, list) else ():
             if isinstance(rec, dict) and isinstance(rec.get("sigma"), list):
-                return len(rec["sigma"])
+                return _cap("n", len(rec["sigma"]), caps)
     raise InputError("%s: cannot infer the variable count" % name)
 
 
@@ -449,11 +449,11 @@ def _der0_spec(data, name, caps):
     _require(data, ("X", "G"))
     if not isinstance(data["X"], list) or not data["X"]:
         raise InputError("%s.X must list n polynomials" % name)
-    n = len(data["X"])
+    n = _cap("n", len(data["X"]), caps)
     x = VectorField(n, [_poly(t, n, name + ".X") for t in data["X"]])
     if not isinstance(data["G"], list) or not data["G"]:
         raise InputError("%s.G must be an m x m array" % name)
-    m = len(data["G"])
+    m = _cap("m", len(data["G"]), caps)
     g = PolyMat(n, _poly_matrix(data["G"], n, m, m, name + ".G"))
     return Der0(x, g)
 
@@ -464,7 +464,8 @@ def _der1_spec(data, name, caps):
     if not isinstance(rows, list) or not rows or any(
             not isinstance(r, list) or not r for r in rows):
         raise InputError("%s.Z must be an m x n array" % name)
-    n = len(rows[0])
+    _cap("m", len(rows), caps)
+    n = _cap("n", len(rows[0]), caps)
     return Der1([VectorField(n, [_poly(t, n, name + ".Z") for t in r]) for r in rows])
 
 
@@ -474,10 +475,11 @@ def _diff0_spec(data, name, caps):
     rows = data["M"]
     if not isinstance(rows, list) or not rows:
         raise InputError("%s.M must be an m x m array" % name)
+    m = _cap("m", len(rows), caps)
     cells = [cell for row in rows if isinstance(row, list) for cell in row]
-    n = _infer_n([data["boxA"]] + cells, name)
+    n = _infer_n([data["boxA"]] + cells, name, caps)
     return DiffOp0.from_pair(_scalar_op(data["boxA"], n, name + ".boxA"),
-                             _matrix_op(rows, n, len(rows), name + ".M"), k)
+                             _matrix_op(rows, n, m, name + ".M"), k)
 
 
 def _diff1_spec(data, name, caps):
@@ -486,7 +488,8 @@ def _diff1_spec(data, name, caps):
     ops = data["ops"]
     if not isinstance(ops, list) or not ops:
         raise InputError("%s.ops must list m operators" % name)
-    n = _infer_n(ops, name)
+    _cap("m", len(ops), caps)
+    n = _infer_n(ops, name, caps)
     return DiffOp1(k, [_scalar_op(cell, n, name + ".ops") for cell in ops])
 
 

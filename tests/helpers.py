@@ -278,6 +278,40 @@ def oracle_validate_jacobi0(raw, probe_degree=2):
                         "(a, b, p) = (%s, %s, e%d)" % (a, b, j + 1))
 
 
+def oracle_poisson_pde(pi):
+    """The bivector PDE and the compatibility PDE of the endomorphism parts
+    (including the matrix commutator term that the compose-and-subtract
+    oracle requires) written out in coordinates: the poisson_pde and
+    compat_pde residuals of is_poisson0, named and ordered as it lists
+    them."""
+    n, m = pi.n, pi.m
+    residuals = []
+
+    for i, j, k in itertools.combinations(range(n), 3):
+        s = Poly.zero(n)
+        for l in range(n):
+            s = (s + pi.aa[i][l] * pi.aa[j][k].partial(l + 1)
+                 + pi.aa[j][l] * pi.aa[k][i].partial(l + 1)
+                 + pi.aa[k][l] * pi.aa[i][j].partial(l + 1))
+        if not s.is_zero():
+            residuals.append(("poisson_pde[%d,%d,%d]" % (i + 1, j + 1, k + 1), s))
+
+    for j, k in itertools.combinations(range(n), 2):
+        r = PolyMat.zero(n, m)
+        for i in range(n):
+            r = (r + pi.aa[j][k].partial(i + 1) * pi.end[i]
+                 + pi.aa[i][j] * pi.end[k].map(lambda p, i=i: p.partial(i + 1))
+                 - pi.aa[i][k] * pi.end[j].map(lambda p, i=i: p.partial(i + 1)))
+        r = r - pi.end[j].commutator(pi.end[k])
+        for alpha in range(m):
+            for beta in range(m):
+                v = r.rows[alpha][beta]
+                if not v.is_zero():
+                    residuals.append(("compat_pde[%d,%d](%d,%d)"
+                                      % (j + 1, k + 1, alpha + 1, beta + 1), v))
+    return residuals
+
+
 def oracle_bider0_aa(pi, a, b):
     """Pi(a, b) = sum_{ij} Pi^{ij} d_i(a) d_j(b)."""
     out = Poly.zero(pi.n)

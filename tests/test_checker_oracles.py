@@ -24,8 +24,9 @@ from diolic.brackets import (BiDer0, BiDerNeg1, JacobiNeg1, JacobiOp0,
 
 from helpers import (RawJacobi0, oracle_is_jacobi0, oracle_is_lie_algebroid,
                      oracle_jacobi_from_poisson, oracle_jacobi_neg1_residuals,
-                     oracle_schouten_probe_suite, oracle_validate_jacobi0,
-                     raw_jacobi_problem, raw_lift)
+                     oracle_poisson_pde, oracle_schouten_probe_suite,
+                     oracle_validate_jacobi0, rand_bider0, raw_jacobi_problem, raw_lift,
+                     rng)
 from test_acceptance import (Budget, _broken_bundle, _so3_bundle,
                              _suite_structures, _tangent)
 
@@ -117,7 +118,10 @@ def test_jacobi_from_poisson_matches_hand_assembled_lift(pi):
 def test_poisson_pde_residuals_are_schouten_generator_values(pi):
     """[[Pi,Pi]] = 2 Jac_Pi on generators: unfolding Jac_Pi gives
     [[Pi,Pi]](x_i, x_j, x_k) = -2 poisson_pde[i,j,k] and
-    [[Pi,Pi]](x_j, x_k, e_b) = 2 sum_a compat_pde[j,k](a,b) e_a."""
+    [[Pi,Pi]](x_j, x_k, e_b) = 2 sum_a compat_pde[j,k](a,b) e_a.  Both
+    sides read the same generator Jacobiators, so this checks the labels,
+    rotations and factor of the Schouten table; the PDE itself is checked
+    against the hand-written oracle below."""
     n, m = pi.n, pi.m
     suite = dict(schouten_probe_suite(pi, degree=1))
     residuals = dict(is_poisson0(pi)[1])
@@ -134,6 +138,46 @@ def test_poisson_pde_residuals_are_schouten_generator_values(pi):
                       for alpha in range(m)]
             assert value == (None if all(c.is_zero() for c in compat)
                              else DiolicElement.from_p(2 * PolyVec(n, compat)))
+
+
+def _pde_draws():
+    """Seeded degree-0 biderivations with random, mostly non-commuting end
+    parts, m = 2 or 3; most are not Poisson."""
+    r = rng(29)
+    return [rand_bider0(r, n, m, deg=deg)
+            for deg in (1, 2) for n, m in ((2, 2), (3, 2), (2, 3), (3, 3))]
+
+
+@pytest.mark.parametrize("pi", _shipped("poisson0") + [
+    pytest.param(pi, id="suite-%d" % i) for i, pi in enumerate(_suite_structures())] + [
+    pytest.param(pi, id="draw-%d" % i) for i, pi in enumerate(_pde_draws())])
+def test_poisson_pde_residuals_match_hand_written_pde(pi):
+    """The PDE residuals of is_poisson0, read off generator Jacobiators, are
+    those of the PDE written out in coordinates: names, order and text."""
+    pde = [(name, str(v)) for name, v in is_poisson0(pi)[1]
+           if not name.startswith("curvature")]
+    assert pde == [(name, str(v)) for name, v in oracle_poisson_pde(pi)]
+
+
+def test_pde_draws_reach_both_families():
+    """The draws give nonzero residuals of both PDE families, and end parts
+    that do not commute."""
+    names = [name for pi in _pde_draws() for name, _ in oracle_poisson_pde(pi)]
+    assert sum(name.startswith("poisson_pde") for name in names) >= 3
+    assert sum(name.startswith("compat_pde") for name in names) >= 20
+    assert sum(not pi.end[0].commutator(pi.end[1]).is_zero() for pi in _pde_draws()) >= 6
+
+
+def test_poisson_route_disagreement_raises(monkeypatch):
+    n, m = 2, 2
+    z, one = Poly.zero(n), Poly.one(n)
+    pi = BiDer0.from_upper(n, m, {(1, 2): one},
+                           [PolyMat(n, [[z, one], [z, z]]), PolyMat(n, [[z, z], [one, z]])])
+    assert not is_poisson0(pi)[0]
+    # a second route whose Hamiltonians are all zero passes any structure
+    monkeypatch.setattr(BiDer0, "hamiltonian", lambda self, a: Der0.zero(self.n, self.m))
+    with pytest.raises(RouteError):
+        is_poisson0(pi)
 
 
 @pytest.mark.parametrize("l", [_tangent(2), _so3_bundle(), _broken_bundle()],

@@ -258,6 +258,53 @@ def test_repeated_keys_exit_2(tmp_path, capsys, doc, message):
     assert check_doc(tmp_path, capsys, doc) == (2, "", "error: %s\n" % message)
 
 
+def test_literal_duplicate_json_keys_exit_2(tmp_path, capsys):
+    """Two copies of one key in one JSON object are refused while parsing,
+    in a file and in a bracket spec; the parser alone would keep the last."""
+    text = json.dumps(shipped("poisson_so3.json"))
+    assert text.count('"1,2": "x3"') == 1
+    path = tmp_path / "twice.json"
+    path.write_text(text.replace('"1,2": "x3"', '"1,2": "x3", "1,2": "x1"'))
+    assert main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == 'error: %s: key "1,2" given twice\n' % path
+    spec = '{"X": ["1"], "X": ["x1"], "G": [["0"]]}'
+    assert main(["bracket", "--kind", "der0", '{"X": ["1"], "G": [["0"]]}', spec]) == 2
+    assert capsys.readouterr() == ("", 'error: spec2: key "X" given twice\n')
+
+
+def op_spec(n):
+    """One scalar operator record list in n variables: the identity."""
+    return [{"sigma": [0] * n, "coeff": "1"}]
+
+
+# bracket specs take n and m from their own sizes, under the caps of problem
+# files (n <= 4, m <= 3 by default); the size is checked before the specs
+# are compared, so in the diff1 cases only spec2 is over the cap
+@pytest.mark.parametrize("kind, spec1, spec2", [
+    ("der0", {"X": ["0"] * 8, "G": [["0"]]}, {"X": ["1"] * 8, "G": [["0"]]}),
+    ("der0", {"X": ["0"], "G": [["0"] * 5] * 5}, {"X": ["1"], "G": [["0"] * 5] * 5}),
+    ("der1-der1", {"Z": [["0"] * 5]}, {"Z": [["1"] * 5]}),
+    ("der1-der1", {"Z": [["0"]] * 4}, {"Z": [["1"]] * 4}),
+    ("diff0", {"k": 1, "boxA": op_spec(5), "M": [[[]]]},
+     {"k": 1, "boxA": [], "M": [[op_spec(5)]]}),
+    ("diff0", {"k": 1, "boxA": [], "M": [[op_spec(1)] * 4] * 4},
+     {"k": 1, "boxA": op_spec(1), "M": [[[]] * 4] * 4}),
+    ("diff0-diff1", json.loads(DIFF0), {"k": 1, "ops": [op_spec(5)]}),
+    ("diff0-diff1", json.loads(DIFF0), {"k": 1, "ops": [op_spec(1)] * 4}),
+], ids=["der0-n", "der0-m", "der1-n", "der1-m", "diff0-n", "diff0-m", "diff1-n", "diff1-m"])
+def test_bracket_specs_obey_the_caps(capsys, kind, spec1, spec2):
+    code = main(["bracket", "--kind", kind, json.dumps(spec1), json.dumps(spec2)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "") and err.startswith("resource cap: ")
+
+
+def test_bracket_caps_can_be_raised(capsys):
+    spec = json.dumps({"X": ["0"] * 8, "G": [["0"]]})
+    assert main(["--max-dim", "n=8", "bracket", "--kind", "der0", spec, spec]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "0"
+
+
 def test_boolean_exponents_exit_2(tmp_path, capsys):
     doc = {"kind": "jacobi_neg1", "n": 1, "m": 1, "jacobi_aa": [
         {"sigma": [False], "tau": [True], "coeff": "1"},
