@@ -55,8 +55,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+from fractions import Fraction
 
-from .poly import DiolicElement, Poly, PolyMat, PolyVec, monomials_up_to
+from .poly import DiolicElement, Poly, PolyMat, PolyVec, dot, monomials_up_to
 from .ops import MatrixOp, RouteError, ScalarOp, VectorField
 from .derivations import Der0, graded_commutator_der
 
@@ -68,25 +69,42 @@ from .derivations import Der0, graded_commutator_der
 def _leibniz_terms(z, n):
     """{k: c} with D(z) = sum c D(g_k) for every derivation D, where
     g = (x_1..x_n, e_1..e_m): c = d_i z at x_i, and at e_alpha the
-    coefficient z^alpha when z lies in P.  Zero coefficients are dropped."""
+    coefficient z^alpha when z lies in P.  Zero coefficients are dropped,
+    and a constant one is given as its int or Fraction value."""
     terms = {i: z.partial(i + 1) for i in range(n)}
     if z.grade:
         terms.update((n + alpha, c) for alpha, c in enumerate(z.comps))
-    return {k: c for k, c in terms.items() if not c.is_zero()}
+    return {k: _constant(c) for k, c in terms.items() if not c.is_zero()}
+
+
+def _constant(c):
+    """The value of c when it is a constant Poly, else c."""
+    if type(c) is Poly and len(c.terms) == 1:
+        (s, k), = c.terms.items()
+        if not any(s):
+            return k
+    return c
 
 
 def _contract(terms, table):
     """The table {rest: sum_k c * table[k, *rest]} over the Leibniz terms
     {k: c} of one argument, with its zero values dropped: the argument
     put into the first slot.  A product of two factors in P lies in
-    P*P = 0 and is skipped (the grades sum to 2)."""
+    P*P = 0 and is skipped (the grades sum to 2); a constant c, which
+    every generator argument gives, scales v without a product."""
     out = {}
     for key, v in table.items():
         c = terms.get(key[0])
-        if c is None or c.grade + v.grade > 1:
+        if c is None:
             continue
+        if isinstance(c, (int, Fraction)):
+            cv = v if c == 1 else c * v
+        elif c.grade + v.grade > 1:
+            continue
+        else:
+            cv = c * v
         rest = key[1:]
-        out[rest] = out[rest] + c * v if rest in out else c * v
+        out[rest] = out[rest] + cv if rest in out else cv
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
@@ -100,6 +118,13 @@ def _skew(table, key, v):
 
 # ---------------------------------------------------------------------------
 # structures
+
+
+def _combine(n, coeffs, mats):
+    """The PolyMat sum_k coeffs[k] * mats[k], each entry one sum of products."""
+    m = mats[0].m
+    return PolyMat(n, [[dot(n, [(c, g.rows[i][j]) for c, g in zip(coeffs, mats)])
+                        for j in range(m)] for i in range(m)])
 
 
 class _BiDer:
@@ -182,20 +207,10 @@ class BiDer0(_BiDer):
 
     def hamiltonian(self, a):
         """The degree-0 derivation Pi(a, -)."""
-        comps = []
-        for j in range(self.n):
-            acc = Poly.zero(self.n)
-            for i in range(self.n):
-                c = self.aa[i][j]
-                if not c.is_zero():
-                    acc = acc + c * a.partial(i + 1)
-            comps.append(acc)
-        g = PolyMat.zero(self.n, self.m)
-        for i in range(self.n):
-            da = a.partial(i + 1)
-            if not da.is_zero():
-                g = g + da * self.end[i]
-        return Der0(VectorField(self.n, comps), g)
+        n = self.n
+        da = [a.partial(i + 1) for i in range(n)]
+        comps = [dot(n, zip(col, da)) for col in zip(*self.aa)]
+        return Der0(VectorField(n, comps), _combine(n, da, self.end))
 
 
 class BiDer1(_BiDer):
@@ -270,18 +285,12 @@ class BiDerNeg1(_BiDer):
                       PolyVec(n, [r[beta] for r in c[alpha].rows]))
 
     def anchor(self, p):
-        out = VectorField.zero(self.n)
-        for alpha in range(self.m):
-            if not p.comps[alpha].is_zero():
-                out = out + p.comps[alpha] * self.rho[alpha]
-        return out
+        n = self.n
+        return VectorField(n, [dot(n, zip(p.comps, col))
+                               for col in zip(*(r.comps for r in self.rho))])
 
     def der0_of(self, p):
-        g = PolyMat.zero(self.n, self.m)
-        for alpha in range(self.m):
-            if not p.comps[alpha].is_zero():
-                g = g + p.comps[alpha] * self.c[alpha]
-        return Der0(self.anchor(p), g)
+        return Der0(self.anchor(p), _combine(self.n, p.comps, self.c))
 
 
 class BiDerNeg2(_BiDer):

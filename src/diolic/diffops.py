@@ -16,7 +16,8 @@ the one block commutator `block_commutator`, on A (+) P = A^(1+m);
 `verify_commutator` compares it with the closed-form output.  It never
 calls the split formulas, so a wrong formula cannot agree with its own
 check; the routes share only the kernel `ops.commutator`, which the tests
-pin against a compose-and-subtract oracle.
+pin against a compose-and-subtract oracle, and `Poly` arithmetic, whose
+sums of products are all one `poly.dot`.
 """
 
 from __future__ import annotations

@@ -21,6 +21,13 @@ T(a, op) = 0 and delta_a(op) = -T(op, a).  In a matrix commutator only the
 terms U_ii o V_ii - V_ii o U_ii pair up this way; the anticommutator
 U o V + V o U of two odd operators adds the products: nothing cancels.
 
+`_tail_pairs` gives the tail as factor pairs, a divided xi-derivative of
+sigma(A) with an x-derivative of sigma(B), with a sign folded into the
+first factor.  A composition, a bracket, `delta` and each entry of a
+matrix composition or commutator is then one `poly.dot` over its pairs:
+one accumulation of integer products over one denominator.  The action
+of an operator or a vector field on a polynomial is one `dot` as well.
+
 Conventions fixed here and used throughout the package:
 
   * delta_a(op) = (mult by a) o op - op o (mult by a); it lowers the order
@@ -35,9 +42,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 
-from .poly import Poly, PolyMat, PolyVec, _Linear, _rational, mi_sub, monomials_up_to
+from .poly import Poly, PolyMat, PolyVec, _Linear, _rational, dot, mi_sub, monomials_up_to
 
 
 class RouteError(AssertionError):
@@ -149,23 +155,14 @@ class ScalarOp(_Linear):
     # -- action and algebra ----------------------------------------------
 
     def __call__(self, f):
-        """The sum of c x^mu d^sigma(f) over the terms c x^mu xi^sigma of
-        the total symbol; d^sigma(f) is derived once per distinct sigma."""
+        """The sum of a_sigma d^sigma(f) over the coefficients a_sigma."""
+        return dot(self.n, self._action_pairs(f))
+
+    def _action_pairs(self, f):
+        """The factor pairs (a_sigma, d^sigma f) of self(f)."""
         if not isinstance(f, Poly) or f.n != self.n:
             raise ValueError("argument must be a Poly in %d variables" % self.n)
-        n = self.n
-        derived = {}
-        acc = {}
-        for s, c in self.p.terms.items():
-            sigma = s[n:]
-            d = derived.get(sigma)
-            if d is None:
-                d = derived[sigma] = f.partial_sigma(sigma).terms
-            mu = s[:n]
-            for t, v in d.items():
-                k = tuple(map(operator.add, mu, t))
-                acc[k] = acc.get(k, 0) + c * v
-        return Poly._trusted(n, {k: _rational(v) for k, v in acc.items() if v})
+        return [(a, f.partial_sigma(sigma)) for sigma, a in self.coeffs.items()]
 
     def _parts(self):
         return (self.p,)
@@ -185,7 +182,7 @@ class ScalarOp(_Linear):
             return NotImplemented
         if other.n != self.n:
             raise ValueError("mismatched variable counts")
-        return ScalarOp._trusted(self.n, self.p * other.p + _tail(self, other))
+        return _op_dot(self.n, _compose_pairs(self, other))
 
     def __str__(self):
         coeffs = self.coeffs
@@ -201,33 +198,56 @@ class ScalarOp(_Linear):
     __repr__ = __str__
 
 
-def _tail(a, b):
-    """T(a, b): the divided xi-derivatives of sigma(a) times the x-derivatives of sigma(b)."""
+def _tail_pairs(a, b, sign=1):
+    """The factor pairs of sign * T(a, b): for each alpha > 0, the divided
+    xi-derivative (sign/alpha!) d_xi^alpha sigma(a) with the x-derivative
+    d_x^alpha sigma(b), where that is nonzero."""
     n = a.n
     zero = (0,) * n
-    divided = {}  # alpha -> terms of (1/alpha!) d_xi^alpha sigma(a)
+    divided = {}  # alpha -> terms of (sign/alpha!) d_xi^alpha sigma(a)
     for s, c in a.p.terms.items():
         ks = s[n:]
         for alpha in itertools.islice(_subindices(ks), 1, None):
-            k = _binom(ks, alpha)
+            k = sign * _binom(ks, alpha)
             divided.setdefault(alpha, {})[mi_sub(s, zero + alpha)] = \
                 c if k == 1 else _rational(c * k)
-    out = Poly._trusted(2 * n, {})
+    pairs = []
     for alpha, terms in divided.items():
         d = b.p.partial_sigma(alpha + zero)
         if d.terms:
-            out = out + Poly._trusted(2 * n, terms) * d
-    return out
+            pairs.append((Poly._trusted(2 * n, terms), d))
+    return pairs
+
+
+def _compose_pairs(a, b, sign=1):
+    """The factor pairs of sign * (a o b): sigma(a) sigma(b) and T(a, b);
+    none when a factor is zero."""
+    if not (a.p.terms and b.p.terms):
+        return []
+    return [(a.p if sign == 1 else -a.p, b.p)] + _tail_pairs(a, b, sign)
+
+
+def _bracket_pairs(a, b):
+    """The factor pairs of [a, b] = T(a, b) - T(b, a), without the product
+    that cancels."""
+    return _tail_pairs(a, b) + _tail_pairs(b, a, -1)
+
+
+def _op_dot(n, pairs):
+    """The ScalarOp in n variables whose total symbol is the sum of the
+    products of the factor pairs."""
+    return ScalarOp._trusted(n, dot(2 * n, pairs))
 
 
 def _bracket(a, b):
-    """[a, b] of two ScalarOps in n variables, without the product that cancels."""
-    return ScalarOp._trusted(a.n, _tail(a, b) - _tail(b, a))
+    """[a, b] of two ScalarOps in n variables."""
+    return _op_dot(a.n, _bracket_pairs(a, b))
 
 
 def commutator(op1, op2):
     """[op1, op2] = op1 o op2 - op2 o op1 (both scalar or both matrix); matrix entry
-    (i, j) sums U_il o V_lj - V_il o U_lj over nonzero factors, l = i = j by `_bracket`."""
+    (i, j) is one dot over the factor pairs of U_il o V_lj - V_il o U_lj, those of
+    l = i = j by `_bracket_pairs`."""
     scalar = isinstance(op1, ScalarOp) and isinstance(op2, ScalarOp)
     if not scalar and not (isinstance(op1, MatrixOp) and isinstance(op2, MatrixOp)):
         raise TypeError("commutator expects two ScalarOps or two MatrixOps")
@@ -238,13 +258,11 @@ def commutator(op1, op2):
     n, m, U, V = op1.n, op1.m, op1.entries, op2.entries
     out = []
     for i, j in itertools.product(range(m), repeat=2):
-        acc = _bracket(U[i][i], V[i][i]).p if i == j else Poly._trusted(2 * n, {})
+        pairs = _bracket_pairs(U[i][i], V[i][i]) if i == j else []
         for l in range(m):
-            for a, b, add in ((U[i][l], V[l][j], operator.add),
-                              (V[i][l], U[l][j], operator.sub)):
-                if a.p.terms and b.p.terms and not i == j == l:
-                    acc = add(acc, (a @ b).p)
-        out.append(ScalarOp._trusted(n, acc))
+            if not i == j == l:
+                pairs += _compose_pairs(U[i][l], V[l][j]) + _compose_pairs(V[i][l], U[l][j], -1)
+        out.append(_op_dot(n, pairs))
     return MatrixOp(n, [out[i * m:(i + 1) * m] for i in range(m)])
 
 
@@ -381,26 +399,15 @@ class MatrixOp(_Linear):
             return NotImplemented
         if self.n != other.n or self.m != other.m:
             raise ValueError("dimension mismatch")
+        n = self.n
         if isinstance(other, PolyVec):
-            out = []
-            for i in range(self.m):
-                acc = Poly.zero(self.n)
-                for j in range(self.m):
-                    acc = acc + self.entries[i][j](other.comps[j])
-                out.append(acc)
-            return PolyVec(self.n, out)
-        rows = []
-        for i in range(self.m):
-            row = []
-            for j in range(self.m):
-                acc = ScalarOp.zero(self.n)
-                for l in range(self.m):
-                    a, b = self.entries[i][l], other.entries[l][j]
-                    if a.p.terms and b.p.terms:  # a zero factor adds nothing
-                        acc = acc + a @ b
-                row.append(acc)
-            rows.append(row)
-        return MatrixOp(self.n, rows)
+            return PolyVec(n, [dot(n, [pair for a, f in zip(row, other.comps)
+                                       for pair in a._action_pairs(f)])
+                               for row in self.entries])
+        cols = list(zip(*other.entries))
+        return MatrixOp(n, [[_op_dot(n, [pair for a, b in zip(row, col)
+                                         for pair in _compose_pairs(a, b)])
+                             for col in cols] for row in self.entries])
 
     def order_zero_polymat(self):
         """Read the order-0 part off as a PolyMat (entries must be order <= 0)."""
@@ -450,11 +457,7 @@ class VectorField(_Linear):
 
     def __call__(self, p):
         if isinstance(p, Poly):
-            out = Poly.zero(self.n)
-            for i, a in enumerate(self.comps):
-                if not a.is_zero():
-                    out = out + a * p.partial(i + 1)
-            return out
+            return dot(self.n, self._action_pairs(p))
         if isinstance(p, PolyVec):
             return PolyVec(self.n, [self(c) for c in p.comps])
         if isinstance(p, PolyMat):
@@ -464,8 +467,13 @@ class VectorField(_Linear):
     def bracket(self, other):
         if self.n != other.n:
             raise ValueError("mismatched variable counts")
-        return VectorField(self.n, [self(other.comps[i]) - other(self.comps[i])
-                                    for i in range(self.n)])
+        neg = -other
+        return VectorField(self.n, [dot(self.n, self._action_pairs(y) + neg._action_pairs(x))
+                                    for x, y in zip(self.comps, other.comps)])
+
+    def _action_pairs(self, p):
+        """The factor pairs (X_i, d_i p) of X(p)."""
+        return [(a, p.partial(i + 1)) for i, a in enumerate(self.comps) if a.terms]
 
     def _parts(self):
         return self.comps

@@ -8,10 +8,12 @@ of `Poly.terms` may treat every coefficient as a Fraction (both have
 `.numerator` and `.denominator`).  Only ints and Fractions are accepted
 from outside; anything else, a float included, raises ValueError.
 
-A product of two polynomials clears denominators once: each operand is
-scaled to integer numerators over the lcm d of its denominators, the
-monomial products are multiplied and summed as Python ints, and each
-output coefficient is divided by d1 * d2 at the end, with one gcd.
+A sum of products sum_k a_k * b_k clears denominators once (`dot`; a
+product is its one-pair case): each operand is scaled to integer
+numerators over the lcm of its denominators, each pair's numerator
+products are raised to the lcm D of the pairs' denominators, every
+monomial product is summed into one dict of Python ints, and each output
+coefficient is divided by D at the end, with one gcd.
 
 A multi-index is a plain tuple of non-negative ints whose length is the
 ambient variable count n; variables are named x1..xn (1-based in text and
@@ -122,6 +124,44 @@ def _scaled(terms, c):
     return out
 
 
+def _mismatch(n, k):
+    return ValueError("mismatched variable counts: %d vs %d" % (n, k))
+
+
+def dot(n, pairs):
+    """The Poly sum of a * b over the pairs (a, b) of Polys in n variables,
+    accumulated as integer numerators over one common denominator."""
+    scaled = []
+    d = 1
+    for a, b in pairs:
+        if a.n != n or b.n != n:
+            raise _mismatch(n, b.n if a.n == n else a.n)
+        if a.terms and b.terms:
+            d1, items1 = _integral(a.terms)
+            d2, items2 = _integral(b.terms)
+            scaled.append((d1 * d2, items1, items2))
+            d = lcm(d, d1 * d2)
+    acc = {}
+    get = acc.get
+    add = operator.add
+    for dk, items1, items2 in scaled:
+        f = d // dk
+        for s1, c1 in items1:
+            if f != 1:
+                c1 *= f
+            for s2, c2 in items2:
+                s = tuple(map(add, s1, s2))
+                acc[s] = get(s, 0) + c1 * c2
+    if d == 1:
+        return Poly._trusted(n, {s: v for s, v in acc.items() if v})
+    terms = {}
+    for s, v in acc.items():
+        if v:
+            g = gcd(v, d)
+            terms[s] = v // d if g == d else Fraction(v // g, d // g)
+    return Poly._trusted(n, terms)
+
+
 class Poly:
     """Element of Q[x1..xn]: a finite map multi-index -> nonzero rational."""
 
@@ -196,17 +236,14 @@ class Poly:
 
     # -- arithmetic --------------------------------------------------
 
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError("mismatched variable counts: %d vs %d" % (self.n, other.n))
-
     def __add__(self, other):
         if type(other) is not Poly:
             if isinstance(other, (int, Fraction)):
                 other = Poly.const(self.n, other)
             elif not isinstance(other, Poly):
                 return NotImplemented
-        self._check(other)
+        if self.n != other.n:
+            raise _mismatch(self.n, other.n)
         acc = dict(self.terms)
         get = acc.get
         for s, c in other.terms.items():
@@ -247,25 +284,7 @@ class Poly:
                 return Poly._trusted(self.n, _scaled(self.terms, other))
             if not isinstance(other, Poly):
                 return NotImplemented
-        self._check(other)
-        d1, items1 = _integral(self.terms)
-        d2, items2 = _integral(other.terms)
-        acc = {}
-        get = acc.get
-        add = operator.add
-        for s1, c1 in items1:
-            for s2, c2 in items2:
-                s = tuple(map(add, s1, s2))
-                acc[s] = get(s, 0) + c1 * c2
-        d = d1 * d2
-        if d == 1:
-            return Poly._trusted(self.n, {s: v for s, v in acc.items() if v})
-        terms = {}
-        for s, v in acc.items():
-            if v:
-                g = gcd(v, d)
-                terms[s] = v // d if g == d else Fraction(v // g, d // g)
-        return Poly._trusted(self.n, terms)
+        return dot(self.n, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -664,14 +683,11 @@ class PolyMat(_Linear):
             return NotImplemented
         if self.n != other.n or self.m != other.m:
             raise ValueError("dimension mismatch")
+        n, rows = self.n, self.rows
         if isinstance(other, PolyVec):
-            return PolyVec(self.n, [sum((self.rows[i][j] * other.comps[j]
-                                         for j in range(self.m)), Poly.zero(self.n))
-                                    for i in range(self.m)])
-        return PolyMat(self.n, [[sum((self.rows[i][k] * other.rows[k][j]
-                                      for k in range(self.m)), Poly.zero(self.n))
-                                 for j in range(self.m)]
-                                for i in range(self.m)])
+            return PolyVec(n, [dot(n, zip(r, other.comps)) for r in rows])
+        cols = list(zip(*other.rows))
+        return PolyMat(n, [[dot(n, zip(r, c)) for c in cols] for r in rows])
 
     def commutator(self, other):
         return self @ other - other @ self

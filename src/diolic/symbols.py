@@ -20,7 +20,7 @@ the other (`_sum_degree`).
 
 from __future__ import annotations
 
-from .poly import ParseError, Poly, _Linear, format_terms, parse_terms, var_names
+from .poly import ParseError, Poly, _Linear, dot, format_terms, parse_terms, var_names
 from .ops import RouteError, ScalarOp, delta_nest, graded_operands, lift
 from .derivations import Der0
 from .diffops import DiffOp0, DiffOp1, DiffOpNeg1
@@ -145,11 +145,11 @@ def poisson_bracket(s1, s2):
     """{s1, s2} = sum_i ds1/dxi_i ds2/dx_i - ds1/dx_i ds2/dxi_i."""
     if s1.n != s2.n:
         raise ValueError("dimension mismatch")
-    n = s1.n
-    out = SymbolPoly.zero(n, max(s1.k + s2.k - 1, 0))
+    n, p1, p2 = s1.n, s1.p, s2.p
+    pairs = []
     for i in range(1, n + 1):
-        out = out + s1.dxi(i) * s2.dx(i) - s1.dx(i) * s2.dxi(i)
-    return out
+        pairs += [(p1.partial(n + i), p2.partial(i)), (-p1.partial(i), p2.partial(n + i))]
+    return SymbolPoly(n, max(s1.k + s2.k - 1, 0), dot(2 * n, pairs))
 
 
 def hamiltonian_apply(s, t):

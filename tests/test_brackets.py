@@ -14,6 +14,7 @@ from diolic.brackets import (BiDer0, BiDer1, BiDerNeg1, BiDerNeg2,
                              is_lie_algebroid, is_poisson0,
                              jacobi_from_poisson, jacobiator0,
                              schouten_probe_suite, schouten_self_eval)
+from diolic.brackets import _contract, _leibniz_terms
 
 from helpers import (oracle_bider_eval, rng, rand_bider0, rand_jacobi0_tables, rand_poly,
                      rand_poly_vec)
@@ -149,6 +150,37 @@ def test_bider_eval_matches_closed_formulas():
                 b.eval(rand_poly(r, n + 1, 1), args[3])
             with pytest.raises(TypeError):
                 b.eval(args[0], DiolicElement.from_a(args[1], k))
+
+
+def test_contract_constant_coefficients_scale_without_a_product():
+    # generator arguments give constant Leibniz coefficients, handed over as
+    # values; contracting with them must equal the general product path on
+    # the same coefficients given as constant Polys
+    n, m = 2, 2
+    x1, x2 = Poly.var(n, 1), Poly.var(n, 2)
+    e1, e2 = PolyVec.basis(n, m, 0), PolyVec.basis(n, m, 1)
+    assert _leibniz_terms(x1, n) == {0: 1}
+    assert _leibniz_terms(2 * x1 + Fraction(1, 3) * x2, n) == {0: 2, 1: Fraction(1, 3)}
+    assert _leibniz_terms(2 * e2, n) == {n + 1: 2}
+    assert _leibniz_terms(x1 * e1, n) == {0: e1, n: x1}
+    r = rng(59)
+    table = {(k, l): rand_poly(r, n, 2) if k < n and l < n else rand_poly_vec(r, n, m, 2)
+             for k in range(n + m) for l in range(n + m) if k != l and min(k, l) < n}
+    third, two = Poly.const(n, Fraction(1, 3)), Poly.const(n, 2)
+    for z in (x1, 2 * x1 + third * x2, x1 * x2 + x2, e1 + two * e2,
+              PolyVec(n, [third, x1]), PolyVec(n, [x2, third])):
+        consts = _leibniz_terms(z, n)
+        general = {k: Poly.const(n, c) if isinstance(c, (int, Fraction)) else c
+                   for k, c in consts.items()}
+        assert _contract(consts, table) == _contract(general, table)
+        want = {}
+        for (k, l), v in table.items():
+            c = general.get(k)
+            if c is not None and c.grade + v.grade < 2:  # P * P = 0
+                want.setdefault((l,), []).append(c * v)
+        want = {rest: sum(vs[1:], vs[0]) for rest, vs in want.items()}
+        assert _contract(consts, table) == {rest: v for rest, v in want.items()
+                                            if not v.is_zero()}
 
 
 # -- the Schouten square ----------------------------------------------------

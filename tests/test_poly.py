@@ -5,7 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from diolic.poly import (DiolicElement, ParseError, Poly, PolyMat, PolyVec,
+from diolic.poly import (DiolicElement, ParseError, Poly, PolyMat, PolyVec, dot,
                          monomials_up_to, parse_poly)
 from diolic.ops import MatrixOp, ScalarOp, VectorField
 from diolic.derivations import Der0, Der1
@@ -339,3 +339,65 @@ def test_kernel_matches_sympy(triple):
     assert _to_sympy(p * q, xs) == sp * sq
     for i in range(n):
         assert _to_sympy(p.partial(i + 1), xs) == sp.diff(xs[i])
+
+
+# -- the sum-of-products kernel `dot`
+
+
+def _rand_dot_poly(r, n):
+    """A sparse polynomial whose coefficients have denominators 1, 2, 3, 5
+    or 7, so that the pairs of one `dot` have different denominators."""
+    terms = {}
+    for _ in range(r.randint(0, 4)):
+        sigma = tuple(r.randint(0, 2) for _ in range(n))
+        terms[sigma] = Fraction(r.randint(-5, 5), r.choice([1, 2, 3, 5, 7]))
+    return Poly(n, terms)
+
+
+def test_dot_matches_products_and_sympy():
+    r = rng(313)
+    for _ in range(60):
+        n = r.randint(1, 3)
+        xs = sympy.symbols("x1:%d" % (n + 1))
+        pairs = [(_rand_dot_poly(r, n), _rand_dot_poly(r, n)) for _ in range(r.randint(0, 4))]
+        if pairs and r.random() < 0.3:  # a pair and its negative cancel exactly
+            a, b = pairs[0]
+            pairs.append((-a, b))
+        got = dot(n, pairs)
+        assert_stored(got)
+        assert got == sum((a * b for a, b in pairs), Poly.zero(n))
+        want = sympy.expand(sum((_to_sympy(a, xs).as_expr() * _to_sympy(b, xs).as_expr()
+                                 for a, b in pairs), sympy.Integer(0)))
+        assert _to_sympy(got, xs).as_expr() - want == 0
+
+
+def test_dot_edge_cases():
+    n = 2
+    p, q = parse_poly("1/2*x1 + 2/3*x2^2", n), parse_poly("3/5*x1*x2 - 1/7", n)
+    zero = Poly.zero(n)
+    assert dot(n, []) == zero and dot(n, []).terms == {}
+    assert dot(n, [(p, q)]) == p * q
+    assert dot(n, [(zero, q), (p, zero)]).terms == {}
+    assert dot(n, [(p, q), (-p, q)]).terms == {}
+    assert dot(n, [(p, q), (zero, p), (q, p)]) == 2 * (p * q)
+    # different denominators: 1/2 * 4/3 + 1/3 * 1 = 1, stored as the int 1
+    one = dot(n, [(Poly.const(n, Fraction(1, 2)), Poly.const(n, Fraction(4, 3))),
+                  (Poly.const(n, Fraction(1, 3)), Poly.one(n))])
+    assert one.terms == {(0, 0): 1} and type(one.terms[(0, 0)]) is int
+    with pytest.raises(ValueError, match="mismatched variable counts"):
+        dot(n, [(p, Poly.one(3))])
+
+
+@st.composite
+def poly_pairs(draw):
+    n = draw(st.integers(1, 3))
+    return n, [(draw(polys(n)), draw(polys(n))) for _ in range(draw(st.integers(0, 4)))]
+
+
+@KERNEL_EXAMPLES
+@given(poly_pairs())
+def test_dot_is_the_sum_of_products(case):
+    n, pairs = case
+    got = dot(n, pairs)
+    assert_stored(got)
+    assert got == sum((a * b for a, b in pairs), Poly.zero(n))
