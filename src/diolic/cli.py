@@ -158,14 +158,21 @@ def _matrix_op_json(mop):
     return [[_scalar_op_json(e) for e in row] for row in mop.entries]
 
 
+_DECIMAL_INT = re.compile(r"-?[0-9]+")
+
+
 def _fraction(value, name):
-    """A JSON rational: an int as it is, a string as a Fraction."""
+    """A JSON rational: an int as it is, a string of ASCII decimal digits
+    (with an optional leading minus) as an int, any other string as a
+    Fraction."""
     if isinstance(value, bool):
         raise InputError("%s must be a rational" % name)
     if isinstance(value, int):
         return value
     if isinstance(value, str):
         try:
+            if _DECIMAL_INT.fullmatch(value):
+                return int(value)
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise InputError("%s is not a rational: %r" % (name, value))

@@ -13,7 +13,10 @@ indices: coefficient vector of length d1}.  The differential follows the
 which squares to zero when c is a Lie bracket and rho a representation.
 It is assembled sparsely: each entry of a cochain is scattered only to the
 (p+1)-tuples it reaches, through the nonzero columns of rho and the nonzero
-structure constants, and the ranks come from exact elimination over Q.
+structure constants, and the ranks come from fraction-free elimination
+over Z, which gives the rank over Q exactly (see `rank`).  Integral data
+stay in Python ints from the first entry to the last pivot; a Fraction
+appears only where the data hold one.
 
 The Der complex -- alternating A-multilinear forms on the derivation
 module of P with values in P, over the generating family nabla_1..nabla_n
@@ -68,8 +71,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections import defaultdict
-from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from operator import add, mul
 
 from .poly import _rational, monomials_up_to
@@ -78,8 +80,9 @@ from .poly import _rational, monomials_up_to
 MAX_COCHAIN_DIM = 20000
 # most scalar products the Lie data check may multiply
 MAX_LIE_PRODUCTS = 10 ** 6
-
-ZERO, ONE = Fraction(0), Fraction(1)
+# bits by which `rank` lets a row under reduction grow before dividing out
+# its content
+MAX_GROWTH_BITS = 64
 
 
 class ResourceCapError(RuntimeError):
@@ -89,26 +92,60 @@ class ResourceCapError(RuntimeError):
 def rank(rows):
     """Rank over Q of a matrix given as a list of sparse rows {column: value}.
 
-    Exact elimination: each row is reduced by the pivot rows at its
-    leading column until it vanishes or leads at a new pivot column.
+    Fraction-free elimination over Z (cf. Bareiss, Math. Comp. 22, 1968).
+    Each row is scaled once by the lcm of its denominators, so that it holds
+    ints, and is then reduced by the pivot rows at its leading column, as
+    row <- p*row - f*pivot with p the pivot's and f the row's leading entry
+    after cancelling gcd(f, p), until it vanishes or leads at a new pivot
+    column.  Every step multiplies a row by a nonzero rational and adds to
+    it a multiple of an earlier row, so the span over Q of the rows seen so
+    far never changes; the pivot rows lead at distinct columns, so they are
+    independent and their number is the rank over Q.
+
+    Entries stay small by dividing out contents (gcds of entries), which is
+    again scaling by a nonzero rational.  A new pivot row is stored
+    primitive, with a positive leading entry; by Cramer's rule its entries
+    then divide minors of the scaled input rows, the size that Bareiss's
+    exact division keeps.  A row under reduction is made primitive whenever
+    the factors p it took since its last division reach MAX_GROWTH_BITS.
     """
     pivots = {}
     for row in rows:
-        row = {col: v for col, v in row.items() if v}
+        if all(type(v) is int for v in row.values()):
+            row = {col: v for col, v in row.items() if v}
+        else:
+            d = lcm(*(v.denominator for v in row.values()))
+            row = {col: v.numerator * (d // v.denominator) for col, v in row.items() if v}
+        grown = 0
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
-                inv = ONE / row[lead]
-                pivots[lead] = {col: v * inv for col, v in row.items()}
+                g = gcd(*row.values())
+                if row[lead] < 0:
+                    g = -g
+                pivots[lead] = {col: v // g for col, v in row.items()} if g != 1 else row
                 break
-            f = row[lead]
+            f, p = row[lead], pivot[lead]
+            g = gcd(f, p)
+            if g != 1:
+                f //= g
+                p //= g
+            if p != 1:
+                row = {col: p * v for col, v in row.items()}
             for col, v in pivot.items():
-                w = row.get(col, ZERO) - f * v
+                w = row.get(col, 0) - f * v
                 if w:
                     row[col] = w
                 else:
                     del row[col]
+            if p != 1:
+                grown += p.bit_length()
+                if grown >= MAX_GROWTH_BITS and row:
+                    grown = 0
+                    g = gcd(*row.values())
+                    if g != 1:
+                        row = {col: v // g for col, v in row.items()}
     return len(pivots)
 
 
@@ -189,7 +226,7 @@ def diolic_lie_residuals(l):
     out = []
     for i, j, k in itertools.combinations(range(r), 3):
         # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
-        jac = [ZERO] * r
+        jac = [0] * r
         for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
             for t, x in pairs[u][v]:
                 for s, y in pairs[t][w]:
@@ -201,7 +238,7 @@ def diolic_lie_residuals(l):
     # {(a, b): value}, kept where it is nonzero
     defect = {}
     for i, j in itertools.combinations(range(r), 2):
-        diff = defaultdict(Fraction)
+        diff = defaultdict(int)
         for k, x in pairs[i][j]:
             for b, col in enumerate(cols[k]):
                 for a, y in col:
@@ -259,7 +296,7 @@ def ce_differential(l, p, tau):
     def target(idx):
         vec = out.get(idx)
         if vec is None:
-            vec = out[idx] = [ZERO] * l.d1
+            vec = out[idx] = [0] * l.d1
         return vec
 
     for key, vec in tau.items():
@@ -308,7 +345,7 @@ def _weight0_bases(l):
         by_weight.setdefault(tuple(rho[h][a][a] for h in torus), []).append(a)
     bases = []
     # the increasing p-tuples with their weights, each extended by a larger index
-    level = [((), (ZERO,) * len(torus))]
+    level = [((), (0,) * len(torus))]
     for _ in range(l.r + 1):
         bases.append([(idx, a) for idx, w in level for a in by_weight.get(w, ())])
         level = [(idx + (i,), tuple(map(add, w, mu[i]))) for idx, w in level
@@ -332,8 +369,8 @@ def ce_cohomology(l):
         column = {key: t for t, key in enumerate(bases[p + 1])}
         rows = []
         for idx, a in bases[p]:
-            unit = [ZERO] * d1
-            unit[a] = ONE
+            unit = [0] * d1
+            unit[a] = 1
             row = {}
             for jdx, vec in ce_differential(l, p, {idx: unit}).items():
                 for b, v in enumerate(vec):

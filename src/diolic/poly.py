@@ -93,6 +93,8 @@ def _rational(c):
     """The stored form of an outside coefficient; anything but an int (not
     a bool) or a Fraction raises ValueError, since a float would enter as
     its binary expansion."""
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
     if isinstance(c, int) and not isinstance(c, bool):
@@ -434,7 +436,7 @@ class _Parser:
         return int(val)
 
     def parse(self):
-        """Return a list of (Fraction, {letter: exponent tuple}) terms."""
+        """Return a list of (int or Fraction, {letter: exponent tuple}) terms."""
         terms = []
         sign = 1
         kind, val, pos = self.peek()
@@ -452,7 +454,7 @@ class _Parser:
             terms.append(self.term(-1 if val == "-" else 1))
 
     def term(self, sign):
-        coeff = Fraction(sign)
+        coeff = sign
         expos = {letter: [0] * self.n for letter in self.letters}
         kind, val, pos = self.peek()
         if kind == "int":

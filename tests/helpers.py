@@ -19,8 +19,7 @@ from diolic.diffops import DiffOp0, DiffOp1, DiffOpNeg1, _block
 from diolic.brackets import (BiDer0, BiDer1, BiDerNeg1, BiDerNeg2, JacobiOp0, _as_diolic,
                              jacobiator0)
 from diolic import cli
-from diolic.complexes import (ONE, ZERO, _betti, ce_cochain_dimensions,
-                              ce_differential, check_cap, rank)
+from diolic.complexes import _betti, ce_cochain_dimensions, ce_differential, check_cap
 
 
 def rng(seed):
@@ -535,9 +534,9 @@ def oracle_is_lie_algebroid(l, coeff_degree=2):
 
 
 # ---------------------------------------------------------------------------
-# oracles: the dense validity check and the full-complex assembly that
-# diolic.complexes replaced by sparse sums and the weight-0 subcomplex,
-# kept as they were
+# oracles: the dense validity check, the elimination in Fractions and the
+# full-complex assembly that diolic.complexes replaced by sparse sums,
+# fraction-free elimination and the weight-0 subcomplex, kept as they were
 
 
 def oracle_diolic_lie_residuals(l):
@@ -568,6 +567,31 @@ def oracle_diolic_lie_residuals(l):
     return out
 
 
+def oracle_rank(rows):
+    """Rank over Q of a list of sparse rows {column: value}, by elimination
+    in Fractions: each new pivot row is scaled to lead with 1, and each row
+    is reduced by the pivot rows at its leading column until it vanishes or
+    leads at a new pivot column."""
+    pivots = {}
+    for row in rows:
+        row = {col: Fraction(v) for col, v in row.items() if v}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = 1 / row[lead]
+                pivots[lead] = {col: v * inv for col, v in row.items()}
+                break
+            f = row[lead]
+            for col, v in pivot.items():
+                w = row.get(col, 0) - f * v
+                if w:
+                    row[col] = w
+                else:
+                    del row[col]
+    return len(pivots)
+
+
 def oracle_ce_cohomology(l):
     """Betti numbers of the cochain complex Hom(Lambda^p g0, g1), p = 0..r.
 
@@ -584,12 +608,12 @@ def oracle_ce_cohomology(l):
         rows = []
         for idx in itertools.combinations(range(r), p):
             for a in range(d1):
-                unit = [ZERO] * d1
-                unit[a] = ONE
+                unit = [0] * d1
+                unit[a] = 1
                 d = ce_differential(l, p, {idx: unit})
                 rows.append({start[jdx] + b: v for jdx, vec in d.items()
                              for b, v in enumerate(vec) if v})
-        ranks.append(rank(rows))
+        ranks.append(oracle_rank(rows))
     return _betti(dims, ranks)
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -8,12 +9,15 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from diolic import cli
 from diolic.cli import DEFAULT_CAPS, build_parser, canonical_problem_json, main
-from diolic.complexes import der_cochain_dimensions
+from diolic.complexes import ce_differential, der_cochain_dimensions
+from diolic.poly import _rational
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
@@ -493,6 +497,74 @@ def test_cohomology_rejects_invalid_ce():
     code, _, err = run_cli("cohomology", "--ce",
                            os.path.join(PROBLEMS, "ce_invalid_rep.json"))
     assert code == 2 and "invalid" in err
+
+
+def _fraction_outcome(text):
+    try:
+        return "value", cli._fraction(text, "v")
+    except cli.InputError as exc:
+        return "error", str(exc)
+
+
+def _reference_outcome(text):
+    """The stored form of Fraction(text), or the input error it maps to."""
+    try:
+        return "value", _rational(Fraction(text))
+    except (ValueError, ZeroDivisionError):
+        return "error", "v is not a rational: %r" % (text,)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(text=st.one_of(st.text(max_size=12),
+                      st.from_regex(r"-?[0-9]{1,40}", fullmatch=True),
+                      st.from_regex(r"\s?[+-]{0,2}[0-9_]{0,5}(/-?[0-9]{0,3})?\s?",
+                                    fullmatch=True)))
+@example(text=" 3 ")
+@example(text="+3")
+@example(text="-0")
+@example(text="007")
+@example(text="1_000")
+@example(text="\u0663\u0664")
+@example(text="--3")
+@example(text="")
+@example(text="1/2")
+@example(text="0.5")
+@example(text="1e3")
+@example(text="3\n")
+@example(text="9" * 5000)
+def test_fraction_agrees_with_fraction(text):
+    """A JSON rational string reads as the stored form of Fraction(text),
+    or fails with the same message; ASCII decimal integers read as ints."""
+    kind, got = _fraction_outcome(text)
+    assert (kind, got) == _reference_outcome(text)
+    if kind == "value":
+        assert type(_rational(got)) is type(_rational(Fraction(text)))
+    digits = text[1:] if text.startswith("-") else text
+    if digits.isascii() and digits.isdigit() and len(digits) <= 4300:
+        assert type(got) is int
+
+
+@pytest.mark.parametrize("as_strings", [False, True], ids=["ints", "strings"])
+def test_integral_ce_files_stay_in_ints(as_strings):
+    """The shipped ce files, with their entries written as JSON ints or as
+    strings, are stored and differentiated in ints alone."""
+    for name in sorted(manifest()):
+        doc = shipped(name)
+        if doc["kind"] != "ce":
+            continue
+        if as_strings:
+            for key in ("c", "rho"):
+                doc[key] = json.loads(json.dumps(doc[key]), parse_int=str)
+        _, l = cli.parse_problem(doc, dict(DEFAULT_CAPS))
+        assert all(type(v) is int for block in l.c for row in block for v in row)
+        assert all(type(v) is int for mat in l.rho for row in mat for v in row)
+        for p in range(l.r):
+            for idx in itertools.combinations(range(l.r), p):
+                for a in range(l.d1):
+                    unit = [0] * l.d1
+                    unit[a] = 1
+                    image = ce_differential(l, p, {idx: unit})
+                    assert all(type(v) is int for vec in image.values() for v in vec)
 
 
 def test_pretty_flag_stays_deterministic():

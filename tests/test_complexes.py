@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings, strategies as st
 
 from diolic.poly import Poly, PolyVec, monomials_up_to
@@ -17,7 +18,7 @@ from diolic.complexes import (CEData, ResourceCapError, _lie_products, _weight0_
                               diolic_lie_check, diolic_lie_residuals, rank)
 
 from helpers import (der_vector, oracle_ce_cohomology, oracle_diolic_lie_residuals,
-                     rand_cochain, rand_fraction, rng)
+                     oracle_rank, rand_cochain, rand_fraction, rng)
 
 
 SL2_C = [[[0, 0, 0], [0, 2, 0], [0, 0, -2]],
@@ -66,6 +67,44 @@ def test_rank_matches_sympy():
         dense = sympy.Matrix([[sympy.Rational(row.get(c, 0)) for c in range(ncols)]
                               for row in rows])
         assert rank(rows) == dense.rank()
+
+
+def _rank_case(r, nfree, ncols, nplant, density, entry):
+    """nfree seeded rows, nplant combinations of two of them and two zero
+    rows, shuffled."""
+    rows = [{c: entry() for c in range(ncols) if r.random() < density}
+            for _ in range(nfree)]
+    for _ in range(nplant):
+        a, b = r.choice(rows), r.choice(rows)
+        f, g = entry(), entry()
+        rows.append({c: f * a.get(c, 0) + g * b.get(c, 0) for c in set(a) | set(b)})
+    rows += [{}, {c: 0 for c in range(0, ncols, 3)}]
+    r.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("seed, kind, shape", [
+    (1, "int", "sparse"), (2, "int", "dense"), (3, "fraction", "sparse"),
+    (4, "fraction", "dense"), (5, "big", "sparse"), (6, "big", "dense")])
+def test_rank_matches_oracle_and_sympy(seed, kind, shape):
+    """The fraction-free rank against the Fraction elimination and sympy's
+    rank over QQ (Matrix.rank takes minutes at 40 x 40 with 10^30 entries),
+    on int rows, Fraction rows and rows with entries around 10^30; the dense
+    40 x 40 cases have 30 free rows, so their rank falls short."""
+    r = rng(seed)
+    entry = {"int": lambda: r.randint(-9, 9),
+             "fraction": lambda: Fraction(r.randint(-9, 9), r.choice([1, 2, 3, 7])),
+             "big": lambda: r.randint(-10 ** 30, 10 ** 30)}[kind]
+    if shape == "dense":
+        cases = [_rank_case(r, 30, 40, 8, 1.0, entry)]
+    else:
+        cases = [_rank_case(r, r.randint(1, 12), r.randint(1, 15), r.randint(0, 4), 0.3, entry)
+                 for _ in range(10)]
+    for rows in cases:
+        ncols = 1 + max((c for row in rows for c in row), default=0)
+        dense = DomainMatrix([[sympy.QQ(row.get(c, 0)) for c in range(ncols)]
+                              for row in rows], (len(rows), ncols), sympy.QQ)
+        assert rank(rows) == oracle_rank(rows) == dense.rank()
 
 
 # -- the Der-complex ---------------------------------------------------------
@@ -347,6 +386,30 @@ def perturbations(c, rho):
 @pytest.mark.parametrize("l", shipped_ce())
 def test_shipped_ce_residuals_match_oracle(l):
     assert diolic_lie_residuals(l) == oracle_diolic_lie_residuals(l)
+
+
+def halved(c, rho):
+    """The data in the basis e_i / 2 of g0: c and rho scale by 1/2."""
+    half = Fraction(1, 2)
+    return ([[[v * half for v in row] for row in block] for block in c],
+            [[[v * half for v in row] for row in mat] for mat in rho])
+
+
+@pytest.mark.parametrize("index", range(len(LIE_FAMILIES)))
+def test_halved_family_betti_match_oracle(index):
+    c, rho, betti = LIE_FAMILIES[index]
+    l = ce_data(*halved(c, rho))
+    assert ce_cohomology(l) == oracle_ce_cohomology(l) == betti
+
+
+def test_halved_sl2_residuals_match_oracle():
+    texts = []
+    for c, rho in perturbations(*halved(SL2_C, SL2_AD)):
+        l = ce_data(c, rho)
+        residuals = diolic_lie_residuals(l)
+        assert residuals == oracle_diolic_lie_residuals(l)
+        texts += [text for _, text in residuals]
+    assert any("/" in text for text in texts)
 
 
 @pytest.mark.parametrize("index", range(len(LIE_FAMILIES)))
