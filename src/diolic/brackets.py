@@ -79,10 +79,10 @@ def _leibniz_terms(z, n):
 
 def _constant(c):
     """The value of c when it is a constant Poly, else c."""
-    if type(c) is Poly and len(c.terms) == 1:
-        (s, k), = c.terms.items()
+    if type(c) is Poly and len(c.num) == 1:
+        (s, k), = c.num.items()
         if not any(s):
-            return k
+            return k if c.den == 1 else Fraction(k, c.den)
     return c
 
 

@@ -86,6 +86,8 @@ def _load(path):
     except json.JSONDecodeError as exc:
         raise InputError("%s: line %d column %d: %s"
                          % (path, exc.lineno, exc.colno, exc.msg))
+    except RecursionError:
+        raise InputError("%s: JSON nested too deeply" % path)
 
 
 def _poly(text, n, name):
@@ -438,6 +440,8 @@ def _json_spec(text, name):
         data = json.loads(text, object_pairs_hook=lambda items: _unique(items, name))
     except json.JSONDecodeError as exc:
         raise InputError("%s is not valid JSON: %s" % (name, exc.msg))
+    except RecursionError:
+        raise InputError("%s is not valid JSON: nested too deeply" % name)
     if not isinstance(data, dict):
         raise InputError("%s must be a JSON object" % name)
     return data

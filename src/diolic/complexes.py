@@ -74,7 +74,7 @@ from collections import defaultdict
 from math import comb, gcd, lcm
 from operator import add, mul
 
-from .poly import _rational, monomials_up_to
+from .poly import _rational, coefficient_text, monomials_up_to
 
 # largest cochain space either complex may assemble
 MAX_COCHAIN_DIM = 20000
@@ -173,7 +173,7 @@ def _betti(dims, ranks):
 class CEData:
     """Structure constants c[i][j][k] of a Lie algebra of dimension r and
     matrices rho[i] (d1 x d1) of a representation, all over Q: ints or
-    Fractions, stored as Poly stores coefficients."""
+    Fractions, as `poly._rational` gives them."""
 
     __slots__ = ("r", "c", "d1", "rho", "_cols", "_brackets")
 
@@ -233,7 +233,7 @@ def diolic_lie_residuals(l):
                     jac[s] += x * y
         if any(jac):
             out.append(("jacobi[%d,%d,%d]" % (i + 1, j + 1, k + 1),
-                        "(" + ", ".join(str(v) for v in jac) + ")"))
+                        "(" + ", ".join(map(coefficient_text, jac)) + ")"))
     # defect[i, j], i < j: sum_k c[i][j][k] rho_k - [rho_i, rho_j] as
     # {(a, b): value}, kept where it is nonzero
     defect = {}
@@ -259,7 +259,7 @@ def diolic_lie_residuals(l):
             if diff is not None:
                 sign = 1 if i < j else -1
                 out.append(("representation[%d,%d]" % (i + 1, j + 1),
-                            str([[str(sign * diff[a, b]) for b in range(d1)]
+                            str([[coefficient_text(sign * diff[a, b]) for b in range(d1)]
                                  for a in range(d1)])))
     return out
 

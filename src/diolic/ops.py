@@ -43,7 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .poly import Poly, PolyMat, PolyVec, _Linear, _rational, dot, mi_sub, monomials_up_to
+from .poly import Poly, PolyMat, PolyVec, _Linear, _normal, dot, mi_sub, monomials_up_to
 
 
 class RouteError(AssertionError):
@@ -64,7 +64,7 @@ def _subindices(sigma):
 def lift(a):
     """The polynomial a(x) as a Poly in (x, xi) of xi-degree 0."""
     z = (0,) * a.n
-    return Poly._trusted(2 * a.n, {s + z: c for s, c in a.terms.items()})
+    return _normal(2 * a.n, {s + z: c for s, c in a.num.items()}, a.den)
 
 
 class ScalarOp(_Linear):
@@ -85,9 +85,10 @@ class ScalarOp(_Linear):
             if a.n != n:
                 raise ValueError("coefficient variable count mismatch")
             merged[sigma] = merged[sigma] + a if sigma in merged else a
+        den = math.lcm(*(a.den for a in merged.values()))
         self.n = n
-        self.p = Poly._trusted(2 * n, {mu + sigma: c for sigma, a in merged.items()
-                                       for mu, c in a.terms.items()})
+        self.p = _normal(2 * n, {mu + sigma: c * (den // a.den) for sigma, a in merged.items()
+                                 for mu, c in a.num.items()}, den)
 
     # -- constructors --------------------------------------------------
 
@@ -131,14 +132,14 @@ class ScalarOp(_Linear):
         """Read-only view {sigma: a_sigma} of the nonzero coefficients."""
         n = self.n
         out = {}
-        for s, c in self.p.terms.items():
+        for s, c in self.p.num.items():
             out.setdefault(s[n:], {})[s[:n]] = c
-        return {sigma: Poly._trusted(n, t) for sigma, t in out.items()}
+        return {sigma: _normal(n, t, self.p.den) for sigma, t in out.items()}
 
     def order(self):
         """Max |sigma| over stored terms; -1 for the zero operator."""
         n = self.n
-        return max((sum(s[n:]) for s in self.p.terms), default=-1)
+        return max((sum(s[n:]) for s in self.p.num), default=-1)
 
     def first_order_part(self):
         """The |sigma| = 1 coefficients as a VectorField."""
@@ -204,25 +205,24 @@ def _tail_pairs(a, b, sign=1):
     d_x^alpha sigma(b), where that is nonzero."""
     n = a.n
     zero = (0,) * n
-    divided = {}  # alpha -> terms of (sign/alpha!) d_xi^alpha sigma(a)
-    for s, c in a.p.terms.items():
+    divided = {}  # alpha -> numerators of (sign/alpha!) d_xi^alpha sigma(a)
+    for s, c in a.p.num.items():
         ks = s[n:]
         for alpha in itertools.islice(_subindices(ks), 1, None):
-            k = sign * _binom(ks, alpha)
             divided.setdefault(alpha, {})[mi_sub(s, zero + alpha)] = \
-                c if k == 1 else _rational(c * k)
+                c * sign * _binom(ks, alpha)
     pairs = []
-    for alpha, terms in divided.items():
+    for alpha, num in divided.items():
         d = b.p.partial_sigma(alpha + zero)
-        if d.terms:
-            pairs.append((Poly._trusted(2 * n, terms), d))
+        if d.num:
+            pairs.append((_normal(2 * n, num, a.p.den), d))
     return pairs
 
 
 def _compose_pairs(a, b, sign=1):
     """The factor pairs of sign * (a o b): sigma(a) sigma(b) and T(a, b);
     none when a factor is zero."""
-    if not (a.p.terms and b.p.terms):
+    if not (a.p.num and b.p.num):
         return []
     return [(a.p if sign == 1 else -a.p, b.p)] + _tail_pairs(a, b, sign)
 
@@ -473,7 +473,7 @@ class VectorField(_Linear):
 
     def _action_pairs(self, p):
         """The factor pairs (X_i, d_i p) of X(p)."""
-        return [(a, p.partial(i + 1)) for i, a in enumerate(self.comps) if a.terms]
+        return [(a, p.partial(i + 1)) for i, a in enumerate(self.comps) if a.num]
 
     def _parts(self):
         return self.comps

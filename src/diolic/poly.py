@@ -1,19 +1,19 @@
 """Sparse multivariate polynomials over Q, plus vector and matrix forms.
 
-Coefficients are rationals and all arithmetic is exact.  A stored
-coefficient is an `int` when it is integral and otherwise a
-`fractions.Fraction` with denominator > 1; zeros are never stored.  An int
-equals, hashes and prints like the Fraction of the same value, so readers
-of `Poly.terms` may treat every coefficient as a Fraction (both have
-`.numerator` and `.denominator`).  Only ints and Fractions are accepted
-from outside; anything else, a float included, raises ValueError.
+Coefficients are rationals and all arithmetic is exact.  A Poly stores
+them in content form, as `fmpq_poly` of FLINT does: integer numerators
+`num` (multi-index -> nonzero int) over one denominator `den` >= 1, in
+lowest terms (gcd(den, every numerator) = 1), so that equal polynomials
+are equal pairs.  `_normal` is the one place that reduces a pair.
+`Poly.terms` is a read-only view with an int where a coefficient is
+integral and a Fraction otherwise; both have `.numerator` and
+`.denominator`.  Only ints and Fractions are accepted from outside;
+anything else, a float included, raises ValueError.
 
-A sum of products sum_k a_k * b_k clears denominators once (`dot`; a
-product is its one-pair case): each operand is scaled to integer
-numerators over the lcm of its denominators, each pair's numerator
-products are raised to the lcm D of the pairs' denominators, every
-monomial product is summed into one dict of Python ints, and each output
-coefficient is divided by D at the end, with one gcd.
+A sum of products sum_k a_k * b_k (`dot`; a product is its one-pair case)
+raises each pair's numerator products to the lcm D of the pairs'
+denominators, sums every monomial product into one dict of Python ints,
+and reduces the result over D once.
 
 A multi-index is a plain tuple of non-negative ints whose length is the
 ambient variable count n; variables are named x1..xn (1-based in text and
@@ -90,9 +90,9 @@ def mi_sub(s, t):
 
 
 def _rational(c):
-    """The stored form of an outside coefficient; anything but an int (not
-    a bool) or a Fraction raises ValueError, since a float would enter as
-    its binary expansion."""
+    """The value of an outside coefficient: an int when it is integral, else
+    a Fraction.  Anything but an int (not a bool) or a Fraction raises
+    ValueError, since a float would enter as its binary expansion."""
     if type(c) is int:
         return c
     if isinstance(c, Fraction):
@@ -102,47 +102,44 @@ def _rational(c):
     raise ValueError("coefficient must be an int or a Fraction, not %r" % (c,))
 
 
-def _integral(terms):
-    """(d, [(sigma, c * d)]) for stored terms, with d the lcm of their
-    denominators, so that every c * d is an int."""
-    d = 1
-    for c in terms.values():
-        if type(c) is not int:
-            d = lcm(d, c.denominator)
-    if d == 1:
-        return 1, terms.items()
-    return d, [(s, c * d if type(c) is int else c.numerator * (d // c.denominator))
-               for s, c in terms.items()]
-
-
-def _scaled(terms, c):
-    """{sigma: v * c} in stored form, for a nonzero int or Fraction c."""
-    out = {}
-    for s, v in terms.items():
-        v *= c
-        if type(v) is not int and v.denominator == 1:
-            v = v.numerator
-        out[s] = v
-    return out
-
-
 def _mismatch(n, k):
     return ValueError("mismatched variable counts: %d vs %d" % (n, k))
 
 
+def _operand(n, other):
+    """other as a Poly in n variables if it is a Poly, an int or a Fraction."""
+    if isinstance(other, (int, Fraction)):
+        return Poly.const(n, other)
+    return other if isinstance(other, Poly) else None
+
+
+def _normal(n, num, den=1):
+    """The Poly num / den (num: exponent tuples of length n -> nonzero
+    ints, den >= 1), reduced to lowest terms here and nowhere else;
+    derived values come from here and skip the checks of Poly.__init__."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {s: v // g for s, v in num.items()}
+            den //= g
+    out = object.__new__(Poly)
+    out.n, out.num, out.den = n, num, den
+    return out
+
+
 def dot(n, pairs):
-    """The Poly sum of a * b over the pairs (a, b) of Polys in n variables,
-    accumulated as integer numerators over one common denominator."""
+    """The Poly sum of a * b over the pairs (a, b) of Polys in n variables:
+    the numerator products of each pair are raised to the lcm D of the
+    pairs' denominators and summed into one dict of ints over D."""
     scaled = []
     d = 1
     for a, b in pairs:
         if a.n != n or b.n != n:
             raise _mismatch(n, b.n if a.n == n else a.n)
-        if a.terms and b.terms:
-            d1, items1 = _integral(a.terms)
-            d2, items2 = _integral(b.terms)
-            scaled.append((d1 * d2, items1, items2))
-            d = lcm(d, d1 * d2)
+        if a.num and b.num:
+            dk = a.den * b.den
+            scaled.append((dk, a.num.items(), b.num.items()))
+            d = lcm(d, dk)
     acc = {}
     get = acc.get
     add = operator.add
@@ -154,51 +151,42 @@ def dot(n, pairs):
             for s2, c2 in items2:
                 s = tuple(map(add, s1, s2))
                 acc[s] = get(s, 0) + c1 * c2
-    if d == 1:
-        return Poly._trusted(n, {s: v for s, v in acc.items() if v})
-    terms = {}
-    for s, v in acc.items():
-        if v:
-            g = gcd(v, d)
-            terms[s] = v // d if g == d else Fraction(v // g, d // g)
-    return Poly._trusted(n, terms)
+    return _normal(n, {s: v for s, v in acc.items() if v}, d)
 
 
 class Poly:
-    """Element of Q[x1..xn]: a finite map multi-index -> nonzero rational."""
+    """Element of Q[x1..xn]: the numerators `num`, a map multi-index ->
+    nonzero int, over the one denominator `den` >= 1, in lowest terms."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "num", "den")
     grade = 0
 
     def __init__(self, n, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
         acc = {}
+        integral = True
         for sigma, c in items:
             sigma = tuple(sigma)
             if len(sigma) != n or any(e < 0 for e in sigma):
                 raise ValueError("bad multi-index %r for n=%d" % (sigma, n))
             c = _rational(c)
             if c:
-                c0 = acc.get(sigma)
-                c = c if c0 is None else _rational(c0 + c)
+                if type(c) is not int:
+                    integral = False
+                c += acc.get(sigma, 0)
                 if c:
                     acc[sigma] = c
-                elif sigma in acc:
+                else:
                     del acc[sigma]
-        self.n = n
-        self.terms = acc
+        den = 1
+        if not integral:
+            # in lowest terms: the coefficient whose denominator holds the
+            # full power of a prime of den has a numerator prime to it
+            den = lcm(*(c.denominator for c in acc.values()))
+            acc = {s: c.numerator * (den // c.denominator) for s, c in acc.items()}
+        self.n, self.num, self.den = n, acc, den
 
     # -- constructors ------------------------------------------------
-
-    @classmethod
-    def _trusted(cls, n, terms):
-        """The Poly over terms that are already in stored form (exponent
-        tuples of length n, no zeros, int-or-Fraction coefficients); derived
-        values come from here and skip the validation of __init__."""
-        out = cls.__new__(cls)
-        out.n = n
-        out.terms = terms
-        return out
 
     @classmethod
     def zero(cls, n):
@@ -226,52 +214,62 @@ class Poly:
 
     # -- queries -----------------------------------------------------
 
+    @property
+    def terms(self):
+        """Read-only view {multi-index: nonzero coefficient}, each an int
+        when it is integral, else a Fraction; it is `num` itself when den
+        is 1, so it must not be changed."""
+        if self.den == 1:
+            return self.num
+        return {s: _rational(Fraction(v, self.den)) for s, v in self.num.items()}
+
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(s) for s in self.terms), default=-1)
-
-    def coeff(self, sigma):
-        return self.terms.get(tuple(sigma), 0)
+        return max((sum(s) for s in self.num), default=-1)
 
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other):
         if type(other) is not Poly:
-            if isinstance(other, (int, Fraction)):
-                other = Poly.const(self.n, other)
-            elif not isinstance(other, Poly):
+            other = _operand(self.n, other)
+            if other is None:
                 return NotImplemented
         if self.n != other.n:
             raise _mismatch(self.n, other.n)
-        acc = dict(self.terms)
+        a, b = self.den, other.den
+        if a == b:
+            den, f, acc = a, 1, dict(self.num)
+        else:
+            den = lcm(a, b)
+            f = den // b
+            acc = {s: v * (den // a) for s, v in self.num.items()}
         get = acc.get
-        for s, c in other.terms.items():
+        for s, c in other.num.items():
+            if f != 1:
+                c *= f
             v = get(s)
             if v is None:
                 acc[s] = c
                 continue
             v += c
-            if not v:
-                del acc[s]
-            elif type(v) is not int and v.denominator == 1:
-                acc[s] = v.numerator
-            else:
+            if v:
                 acc[s] = v
-        return Poly._trusted(self.n, acc)
+            else:
+                del acc[s]
+        return _normal(self.n, acc, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._trusted(self.n, {s: -c for s, c in self.terms.items()})
+        return _normal(self.n, {s: -v for s, v in self.num.items()}, self.den)
 
     def __sub__(self, other):
         if type(other) is not Poly:
-            if isinstance(other, (int, Fraction)):
-                other = Poly.const(self.n, other)
-            elif not isinstance(other, Poly):
+            other = _operand(self.n, other)
+            if other is None:
                 return NotImplemented
         return self + (-other)
 
@@ -283,7 +281,9 @@ class Poly:
             if isinstance(other, (int, Fraction)):
                 if not other:
                     return Poly.zero(self.n)
-                return Poly._trusted(self.n, _scaled(self.terms, other))
+                k = other.numerator
+                return _normal(self.n, {s: v * k for s, v in self.num.items()},
+                               self.den * other.denominator)
             if not isinstance(other, Poly):
                 return NotImplemented
         return dot(self.n, ((self, other),))
@@ -300,11 +300,10 @@ class Poly:
 
     def __eq__(self, other):
         if type(other) is not Poly:
-            if isinstance(other, (int, Fraction)):
-                other = Poly.const(self.n, other)
-            elif not isinstance(other, Poly):
+            other = _operand(self.n, other)
+            if other is None:
                 return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self.n == other.n and self.den == other.den and self.num == other.num
 
     __hash__ = None
 
@@ -315,15 +314,12 @@ class Poly:
         if not 1 <= i <= self.n:
             raise ValueError("variable index out of range: %d" % i)
         j = i - 1
-        terms = {}
-        for s, c in self.terms.items():
+        num = {}
+        for s, v in self.num.items():
             e = s[j]
             if e:
-                c *= e
-                if type(c) is not int and c.denominator == 1:
-                    c = c.numerator
-                terms[s[:j] + (e - 1,) + s[j + 1:]] = c
-        return Poly._trusted(self.n, terms)
+                num[s[:j] + (e - 1,) + s[j + 1:]] = v * e
+        return _normal(self.n, num, self.den)
 
     def partial_sigma(self, sigma):
         """Iterated derivative d^sigma: c x^s goes to
@@ -335,19 +331,16 @@ class Poly:
         steps = [(i, k) for i, k in enumerate(sigma) if k]
         if not steps:
             return self
-        terms = {}
-        for s, c in self.terms.items():
+        num = {}
+        for s, v in self.num.items():
             f = 1
             for i, k in steps:
                 if s[i] < k:
                     break
                 f *= perm(s[i], k)
             else:
-                c *= f
-                if type(c) is not int and c.denominator == 1:
-                    c = c.numerator
-                terms[tuple(map(operator.sub, s, sigma))] = c
-        return Poly._trusted(self.n, terms)
+                num[tuple(map(operator.sub, s, sigma))] = v * f
+        return _normal(self.n, num, self.den)
 
     # -- printing ----------------------------------------------------
 
@@ -364,9 +357,22 @@ def var_names(letter, n):
     return tuple("%s%d" % (letter, j + 1) for j in range(n))
 
 
+def coefficient_text(c):
+    """str(c) of an int or a Fraction, also past Python's int-to-str digit
+    limit (sys.get_int_max_str_digits)."""
+    try:
+        return str(c)
+    except ValueError:
+        if type(c) is not int:
+            return coefficient_text(c.numerator) + "/" + coefficient_text(c.denominator)
+        k = abs(c).bit_length() * 3 // 20  # about half the digits: log10(2) > 0.3
+        hi, lo = divmod(abs(c), 10 ** k)
+        return "-" * (c < 0) + coefficient_text(hi) + coefficient_text(lo).zfill(k)
+
+
 def format_terms(terms, names):
-    """Canonical text of {exponent tuple: nonzero Fraction} in the named
-    variables: descending total degree, first variable major."""
+    """Canonical text of {exponent tuple: nonzero int or Fraction} in the
+    named variables: descending total degree, first variable major."""
     if not terms:
         return "0"
     parts = []
@@ -379,9 +385,9 @@ def format_terms(terms, names):
         body = "*".join(factors)
         mag = abs(c)
         if not body:
-            body = str(mag)
+            body = coefficient_text(mag)
         elif mag != 1:
-            body = "%s*%s" % (mag, body)
+            body = coefficient_text(mag) + "*" + body
         if not parts:
             parts.append(body if c > 0 else "-" + body)
         else:
@@ -403,12 +409,8 @@ def tokenize(text):
         mo = _TOKEN.match(text, pos)
         if mo is None:
             raise ParseError("unexpected character %r" % text[pos], pos)
-        if mo.lastgroup == "var":
-            tokens.append(("var", mo.group(), pos))
-        elif mo.lastgroup == "int":
-            tokens.append(("int", mo.group(), pos))
-        elif mo.lastgroup == "op":
-            tokens.append(("op", mo.group(), pos))
+        if mo.lastgroup != "ws":
+            tokens.append((mo.lastgroup, mo.group(), pos))
         pos = mo.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -438,20 +440,15 @@ class _Parser:
     def parse(self):
         """Return a list of (int or Fraction, {letter: exponent tuple}) terms."""
         terms = []
-        sign = 1
-        kind, val, pos = self.peek()
-        if kind == "op" and val in "+-":
-            self.next()
-            sign = -1 if val == "-" else 1
-        terms.append(self.term(sign))
         while True:
             kind, val, pos = self.peek()
-            if kind == "end":
-                return terms
-            if kind != "op" or val not in "+-":
+            if kind == "op" and val in "+-":
+                self.next()
+            elif terms:
                 raise ParseError("expected '+' or '-'", pos)
-            self.next()
             terms.append(self.term(-1 if val == "-" else 1))
+            if self.peek()[0] == "end":
+                return terms
 
     def term(self, sign):
         coeff = sign
@@ -507,11 +504,7 @@ def parse_terms(text, n, letters=("x",)):
 
 def parse_poly(text, n):
     """Parse the shared polynomial grammar into a Poly."""
-    acc = {}
-    for coeff, expos in parse_terms(text, n, ("x",)):
-        sigma = expos["x"]
-        acc[sigma] = acc.get(sigma, 0) + coeff
-    return Poly(n, acc)
+    return Poly(n, [(expos["x"], coeff) for coeff, expos in parse_terms(text, n, ("x",))])
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ the other (`_sum_degree`).
 
 from __future__ import annotations
 
-from .poly import ParseError, Poly, _Linear, dot, format_terms, parse_terms, var_names
+from .poly import ParseError, Poly, _Linear, _normal, dot, format_terms, parse_terms, var_names
 from .ops import RouteError, ScalarOp, delta_nest, graded_operands, lift
 from .derivations import Der0
 from .diffops import DiffOp0, DiffOp1, DiffOpNeg1
@@ -53,7 +53,7 @@ class SymbolPoly(_Linear):
         p = Poly.zero(2 * n) if p is None else p
         if p.n != 2 * n:
             raise ValueError("a symbol in %d variables is a Poly in %d" % (n, 2 * n))
-        if any(sum(s[n:]) != k for s in p.terms):
+        if any(sum(s[n:]) != k for s in p.num):
             raise ValueError("term is not xi-homogeneous of degree %d" % k)
         self.n = n
         self.k = k
@@ -113,7 +113,7 @@ def parse_symbol(text, n):
     """Parse the poly grammar extended with momentum variables k1..kn."""
     terms = parse_terms(text, n, ("x", "k"))
     p = Poly(2 * n, [(expos["x"] + expos["k"], c) for c, expos in terms])
-    degs = {sum(s[n:]) for s in p.terms}
+    degs = {sum(s[n:]) for s in p.num}
     if len(degs) > 1:
         raise ParseError("symbol is not homogeneous in the momentum variables", 0)
     if not degs and any(sum(expos["k"]) for _, expos in terms):
@@ -127,8 +127,8 @@ def smbl_scalar(op, k):
     if op.order() > k:
         raise ValueError("operator order %d exceeds %d" % (op.order(), k))
     n = op.n
-    return SymbolPoly(n, k, Poly._trusted(2 * n, {s: c for s, c in op.p.terms.items()
-                                                  if sum(s[n:]) == k}))
+    return SymbolPoly(n, k, _normal(2 * n, {s: c for s, c in op.p.num.items()
+                                            if sum(s[n:]) == k}, op.p.den))
 
 
 def scalar_from_symbol(s):

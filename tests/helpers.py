@@ -916,3 +916,47 @@ def oracle_block_commutator(u, v):
     if u.grade % 2 and v.grade % 2:
         return U @ V + V @ U
     return U @ V - V @ U
+
+
+# ---------------------------------------------------------------------------
+# the polynomial kernel one Fraction per term: {exponent tuple: Fraction},
+# with no common denominator and no zeros
+
+
+def oracle_terms(p):
+    """The coefficients of a Poly as {exponent tuple: Fraction}."""
+    return {s: Fraction(c) for s, c in p.terms.items()}
+
+
+def _oracle_sum(products):
+    acc = {}
+    for s, c in products:
+        acc[s] = acc.get(s, Fraction(0)) + c
+    return {s: c for s, c in acc.items() if c}
+
+
+def oracle_add(a, b, sign=1):
+    """a + sign * b."""
+    return _oracle_sum(list(a.items()) + [(s, sign * c) for s, c in b.items()])
+
+
+def oracle_scale(a, k):
+    return _oracle_sum((s, c * k) for s, c in a.items())
+
+
+def oracle_dot(pairs):
+    """The sum of the products a * b over the pairs."""
+    return _oracle_sum((mi_add(s, t), c * d) for a, b in pairs
+                       for s, c in a.items() for t, d in b.items())
+
+
+def oracle_partial_sigma(a, sigma):
+    """d^sigma a, one falling factorial per exponent."""
+    out = []
+    for s, c in a.items():
+        if all(e >= k for e, k in zip(s, sigma)):
+            for e, k in zip(s, sigma):
+                for j in range(k):
+                    c *= e - j
+            out.append((mi_sub(s, sigma), c))
+    return _oracle_sum(out)

@@ -674,3 +674,37 @@ def test_fuzz_one_leaf_exit_contract(tmp_path_factory, data):
         code = main(argv)
     assert code in (0, 1, 2, 3)
     assert code != 1 or json.loads(out.getvalue())["verdict"] == "fail"
+
+
+# -- inputs past Python's own limits
+
+
+def _one_error_line(err):
+    return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_deeply_nested_file_exits_2(tmp_path):
+    f = tmp_path / "deep.json"
+    f.write_text('{"kind": "poisson0", "n": 1, "m": 1, "bivector": {}, "end_part": '
+                 + "[" * 100000)
+    code, out, err = run_cli("check", str(f))
+    assert code == 2 and out == "" and _one_error_line(err)
+
+
+def test_deeply_nested_spec_exits_2():
+    code, out, err = run_cli("bracket", "--kind", "der0", "[" * 100000, "{}")
+    assert code == 2 and out == "" and _one_error_line(err)
+
+
+def test_huge_coefficients_keep_the_verdict(tmp_path):
+    # the residual coefficients have 8,001 digits, over the int-to-str limit
+    big = "3" + "0" * 4000
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps({"kind": "poisson0", "n": 3, "m": 1,
+                             "bivector": {"1,2": big + "*x2*x3", "2,3": big + "*x1"},
+                             "end_part": [[["0"]], [["0"]], [["0"]]]}))
+    code, out, err = run_cli("check", str(f))
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert doc["verdict"] == "fail" and doc["residuals"]
+    assert any("9" + "0" * 8000 + "*" in r["value"] for r in doc["residuals"])
