@@ -24,10 +24,11 @@ import re
 import sys
 import time
 from fractions import Fraction
+from itertools import compress
 
 from . import __version__
-from .poly import (DiolicElement, ParseError, Poly, PolyMat, PolyVec, monomials_up_to,
-                   parse_poly)
+from .poly import (DiolicElement, ParseError, Poly, PolyMat, PolyVec, _rational,
+                   monomials_up_to, parse_poly)
 from .ops import MatrixOp, RouteError, ScalarOp, VectorField
 from .derivations import Der0, Der1, DerNeg1, graded_commutator_der
 from .diffops import (DiffOp0, DiffOp1, check_k_connection,
@@ -164,30 +165,72 @@ _DECIMAL_INT = re.compile(r"-?[0-9]+")
 
 
 def _fraction(value, name):
-    """A JSON rational: an int as it is, a string of ASCII decimal digits
-    (with an optional leading minus) as an int, any other string as a
-    Fraction."""
+    """A JSON rational as `poly._rational` stores it: an int as it is, a
+    string of ASCII decimal digits (with an optional leading minus) as an
+    int, any other string through Fraction."""
     if isinstance(value, bool):
         raise InputError("%s must be a rational" % name)
     if isinstance(value, int):
-        return value
+        return _rational(value)
     if isinstance(value, str):
         try:
             if _DECIMAL_INT.fullmatch(value):
                 return int(value)
-            return Fraction(value)
+            return _rational(Fraction(value))
         except (ValueError, ZeroDivisionError):
             raise InputError("%s is not a rational: %r" % (name, value))
     raise InputError("%s must be an integer or a rational string" % name)
 
 
-def _fraction_tensor(data, shape, name):
-    if not shape:
-        return _fraction(data, name)
-    if not isinstance(data, list) or len(data) != shape[0]:
-        raise InputError("%s must be an array of length %d" % (name, shape[0]))
-    return [_fraction_tensor(e, shape[1:], "%s[%d]" % (name, i + 1))
-            for i, e in enumerate(data)]
+def _row_values(row, memo):
+    """The entries of a JSON row as ints and Fractions (a row of ints is
+    returned as it is), or None if one is not a rational.  memo maps the
+    strings read so far to their values, so that "0", "1" and the like are
+    converted once per file."""
+    kinds = set(map(type, row))
+    if kinds == {int}:
+        return row
+    try:
+        if kinds == {str}:
+            for text in set(row).difference(memo):
+                memo[text] = _fraction(text, "")
+            return list(map(memo.__getitem__, row))
+        return [_fraction(v, "") for v in row]
+    except InputError:
+        return None
+
+
+def _sparse_tensor(data, shape, name, memo):
+    """A JSON array of rationals of shape (n0, n1, n2) as n0 lists of n1
+    rows {index: nonzero value}.
+
+    The checks and their order are those of a depth-first walk: each array
+    has its length checked before its elements are read, and the first bad
+    node gives the error, named as name[i][j][k] (1-based).  The names are
+    built only then."""
+    n0, n1, n2 = shape
+
+    def length_error(n, *idx):
+        return InputError("%s%s must be an array of length %d"
+                          % (name, "".join("[%d]" % (t + 1) for t in idx), n))
+
+    if not isinstance(data, list) or len(data) != n0:
+        raise length_error(n0)
+    out = []
+    for i, block in enumerate(data):
+        if not isinstance(block, list) or len(block) != n1:
+            raise length_error(n1, i)
+        rows = []
+        for j, row in enumerate(block):
+            if not isinstance(row, list) or len(row) != n2:
+                raise length_error(n2, i, j)
+            values = _row_values(row, memo)
+            if values is None:
+                for k, v in enumerate(row):
+                    _fraction(v, "%s[%d][%d][%d]" % (name, i + 1, j + 1, k + 1))
+            rows.append({k: values[k] for k in compress(range(n2), values)})
+        out.append(rows)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +388,9 @@ def _check_k_connection(obj):
 def _read_ce(data, n, m, caps):
     r = _as_int(data["dim"], "dim", 1)
     d1 = _as_int(data["rep_dim"], "rep_dim", 1)
-    return CEData(r, _fraction_tensor(data["c"], (r, r, r), "c"),
-                  d1, _fraction_tensor(data["rho"], (r, d1, d1), "rho"))
+    memo = {}
+    return CEData.sparse(r, _sparse_tensor(data["c"], (r, r, r), "c", memo),
+                         d1, _sparse_tensor(data["rho"], (r, d1, d1), "rho", memo))
 
 
 def _ce_json(l):

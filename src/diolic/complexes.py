@@ -2,10 +2,14 @@
 
 A CE datum is a Lie algebra g0 of dimension r, given by structure
 constants c[i][j][k] (the e_k coefficient of [e_i, e_j]), and a
-representation rho of g0 on g1 = Q^d1.  A p-cochain is an alternating
-p-form on g0 with values in g1, stored as {increasing p-tuple of generator
-indices: coefficient vector of length d1}.  The differential follows the
-0-based alternating-sum convention
+representation rho of g0 on g1 = Q^d1 with basis v_1..v_d1.  `CEData`
+keeps only the nonzero structure constants and the nonzero entries of each
+rho column; the `ce` file reader in `cli` hands over nonzeros only, so
+after its one scan of each row of the file the work grows with the
+nonzeros and with d1, not with the d1^2 entries of a matrix.  A
+p-cochain is an alternating p-form on g0 with values in g1, stored as
+{increasing p-tuple of generator indices: {a: nonzero coefficient of
+v_a}}.  The differential follows the 0-based alternating-sum convention
 
     (dw)(D_0..D_p) = sum_i (-1)^i rho(D_i) w(..^i..)
                    + sum_{i<j} (-1)^{i+j} w([D_i, D_j], ..^i..^j..)
@@ -70,9 +74,9 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from collections import defaultdict
+from collections import Counter, defaultdict
 from math import comb, gcd, lcm
-from operator import add, mul
+from operator import add
 
 from .poly import _rational, coefficient_text, monomials_up_to
 
@@ -171,37 +175,82 @@ def _betti(dims, ranks):
 
 
 class CEData:
-    """Structure constants c[i][j][k] of a Lie algebra of dimension r and
-    matrices rho[i] (d1 x d1) of a representation, all over Q: ints or
-    Fractions, as `poly._rational` gives them."""
+    """A Lie algebra g0 of dimension r and a representation rho of it on
+    Q^d1, stored by their nonzero entries, all ints or Fractions as
+    `poly._rational` gives them:
 
-    __slots__ = ("r", "c", "d1", "rho", "_cols", "_brackets")
+        _brackets[k]: the (i, j, c[i][j][k]) with i < j and c[i][j][k] != 0,
+        _cols[i][b]:  the (a, rho[i][a][b]) with rho[i][a][b] != 0, by a.
+
+    CEData(r, c, d1, rho) takes the dense tensors c[i][j][k] and
+    rho[i][a][b]; CEData.sparse takes their rows as {index: nonzero value}
+    dicts, the form the `ce` file reader hands over.  `c` and `rho` are
+    read-only dense views, built on each access."""
+
+    __slots__ = ("r", "d1", "_cols", "_brackets")
 
     def __init__(self, r, c, d1, rho):
-        c = tuple(tuple(tuple(_rational(v) for v in row) for row in block) for block in c)
-        if len(c) != r or any(len(b) != r for b in c) or any(
-                len(row) != r for b in c for row in b):
+        self._store(r, _sparse_rows(c, r, "structure constants must be r x r x r"),
+                    d1, _sparse_rows(rho, d1, "representation must give r matrices of size d1"))
+
+    @classmethod
+    def sparse(cls, r, c, d1, rho):
+        """From sparse rows: c[i][j] = {k: c[i][j][k]} and rho[i][a] =
+        {b: rho[i][a][b]}, nonzero entries only."""
+        self = object.__new__(cls)
+        self._store(r, c, d1, rho)
+        return self
+
+    def _store(self, r, c, d1, rho):
+        if len(c) != r or any(len(block) != r for block in c):
             raise ValueError("structure constants must be r x r x r")
-        rho = tuple(tuple(tuple(_rational(v) for v in row) for row in mat) for mat in rho)
-        if len(rho) != r or any(len(mat) != d1 for mat in rho) or any(
-                len(row) != d1 for mat in rho for row in mat):
+        if len(rho) != r or any(len(mat) != d1 for mat in rho):
             raise ValueError("representation must give r matrices of size d1")
-        for i in range(r):
-            for j in range(r):
-                for k in range(r):
-                    if c[i][j][k] != -c[j][i][k]:
+        brackets = [[] for _ in range(r)]
+        for i, block in enumerate(c):
+            for j, row in enumerate(block):
+                for k, v in row.items():
+                    if c[j][i].get(k, 0) != -v:
                         raise ValueError("structure constants must be antisymmetric")
-        self.r = r
-        self.c = c
-        self.d1 = d1
-        self.rho = rho
-        # _cols[i][b]: the nonzero (a, rho[i][a][b]) of column b
-        self._cols = tuple(tuple(tuple((a, mat[a][b]) for a in range(d1) if mat[a][b])
-                                 for b in range(d1)) for mat in rho)
-        # _brackets[k]: the (i, j, c[i][j][k]) with i < j and c[i][j][k] != 0
-        self._brackets = tuple(tuple((i, j, c[i][j][k])
-                                     for i, j in itertools.combinations(range(r), 2)
-                                     if c[i][j][k]) for k in range(r))
+                    if i < j:
+                        brackets[k].append((i, j, v))
+        cols = []
+        for mat in rho:
+            by_col = [[] for _ in range(d1)]
+            for a, row in enumerate(mat):
+                for b, v in row.items():
+                    by_col[b].append((a, v))
+            cols.append(by_col)
+        self.r, self.d1, self._cols, self._brackets = r, d1, cols, brackets
+
+    @property
+    def c(self):
+        r = self.r
+        c = [[[0] * r for _ in range(r)] for _ in range(r)]
+        for k, brackets in enumerate(self._brackets):
+            for i, j, v in brackets:
+                c[i][j][k] = v
+                c[j][i][k] = -v
+        return tuple(tuple(map(tuple, block)) for block in c)
+
+    @property
+    def rho(self):
+        d1 = self.d1
+        rho = [[[0] * d1 for _ in range(d1)] for _ in range(self.r)]
+        for mat, cols in zip(rho, self._cols):
+            for b, col in enumerate(cols):
+                for a, v in col:
+                    mat[a][b] = v
+        return tuple(tuple(map(tuple, mat)) for mat in rho)
+
+
+def _sparse_rows(tensor, n, message):
+    """The rows of a dense tensor, whose rows have length n, as
+    {index: nonzero value} dicts; ValueError(message) on a bad shape."""
+    if any(len(row) != n for block in tensor for row in block):
+        raise ValueError(message)
+    return [[{k: v for k, v in enumerate(map(_rational, row)) if v} for row in block]
+            for block in tensor]
 
 
 def diolic_lie_residuals(l):
@@ -268,12 +317,13 @@ def _lie_products(l, pairs):
     """The number of scalar products `diolic_lie_residuals` multiplies,
     counted from the nonzero entries alone."""
     col_nnz = [list(map(len, cols)) for cols in l._cols]
-    row_nnz = [[sum(map(bool, row)) for row in mat] for mat in l.rho]
+    row_nnz = [Counter(a for col in cols for a, _ in col) for cols in l._cols]
     count = sum(len(pairs[t][w]) for i, j, k in itertools.combinations(range(l.r), 3)
                 for u, v, w in ((i, j, k), (j, k, i), (k, i, j)) for t, _ in pairs[u][v])
     for i, j in itertools.combinations(range(l.r), 2):
         count += sum(sum(col_nnz[k]) for k, _ in pairs[i][j])
-        count += sum(map(mul, row_nnz[j], col_nnz[i])) + sum(map(mul, row_nnz[i], col_nnz[j]))
+        count += sum(nnz * col_nnz[i][t] for t, nnz in row_nnz[j].items())
+        count += sum(nnz * col_nnz[j][t] for t, nnz in row_nnz[i].items())
     return count
 
 
@@ -284,7 +334,8 @@ def diolic_lie_check(l):
 
 
 def ce_differential(l, p, tau):
-    """d of a p-cochain tau: {increasing p-tuple: g1 coefficient vector}.
+    """d of a p-cochain tau, {increasing p-tuple: {b: coefficient of v_b}},
+    in the same form: only nonzero coefficients, only tuples that keep one.
 
     An entry at I reaches I + {i} through rho(e_i), with the sign of the
     position of i, and I - {k} + {i, j} through each c[i][j][k] != 0 with
@@ -292,27 +343,19 @@ def ce_differential(l, p, tau):
     target.
     """
     out = {}
-
-    def target(idx):
-        vec = out.get(idx)
-        if vec is None:
-            vec = out[idx] = [0] * l.d1
-        return vec
-
     for key, vec in tau.items():
-        entries = [(b, v) for b, v in enumerate(vec) if v]
+        entries = [(b, v) for b, v in vec.items() if v]
         if not entries:
             continue
         for i, cols in enumerate(l._cols):
             t = bisect_left(key, i)
             if t < p and key[t] == i:
                 continue
-            acc = target(key[:t] + (i,) + key[t:])
-            for b, v in entries:
-                if t % 2:
-                    v = -v
-                for a, x in cols[b]:
-                    acc[a] += x * v
+            terms = [(a, x * v) for b, v in entries for a, x in cols[b]]
+            if terms:
+                acc = out.setdefault(key[:t] + (i,) + key[t:], {})
+                for a, y in terms:
+                    acc[a] = acc.get(a, 0) + (-y if t % 2 else y)
         for q, k in enumerate(key):
             rest = key[:q] + key[q + 1:]
             for i, j, ck in l._brackets[k]:
@@ -322,10 +365,17 @@ def ce_differential(l, p, tau):
                 t = bisect_left(rest, j) + 1
                 idx = rest[:s] + (i,) + rest[s:t - 1] + (j,) + rest[t - 1:]
                 f = -ck if (q + s + t) % 2 else ck
-                acc = target(idx)
+                acc = out.setdefault(idx, {})
                 for b, v in entries:
-                    acc[b] += f * v
-    return {idx: vec for idx, vec in out.items() if any(vec)}
+                    acc[b] = acc.get(b, 0) + f * v
+    for idx, acc in list(out.items()):
+        if not all(acc.values()):
+            acc = {a: v for a, v in acc.items() if v}
+            if acc:
+                out[idx] = acc
+            else:
+                del out[idx]
+    return out
 
 
 def ce_cochain_dimensions(l):
@@ -335,14 +385,27 @@ def ce_cochain_dimensions(l):
 def _weight0_bases(l):
     """The joint weight-0 basis cochains of the diagonal generators, per
     degree p = 0..r: lists of (increasing p-tuple, a) for e^I (x) v_a."""
-    c, rho = l.c, l.rho
-    torus = [h for h in range(l.r)
-             if not any(v for i, row in enumerate(c[h]) for k, v in enumerate(row) if i != k)
-             and not any(v for a, row in enumerate(rho[h]) for b, v in enumerate(row) if a != b)]
-    mu = [tuple(c[h][i][i] for h in torus) for i in range(l.r)]
+    # h is diagonal unless c[h][i][k] != 0 or rho[h][a][b] != 0 with i != k
+    # or a != b; diag[h, i] = c[h][i][i]
+    off, diag = set(), {}
+    for k, brackets in enumerate(l._brackets):
+        for i, j, v in brackets:
+            if j != k:
+                off.add(i)
+            else:
+                diag[i, k] = v
+            if i != k:
+                off.add(j)
+            else:
+                diag[j, k] = -v
+    torus = [h for h in range(l.r) if h not in off
+             and all(a == b for b, col in enumerate(l._cols[h]) for a, _ in col)]
+    mu = [tuple(diag.get((h, i), 0) for h in torus) for i in range(l.r)]
+    # lam[t][a] = rho[torus[t]][a][a]
+    lam = [dict(entry for col in l._cols[h] for entry in col) for h in torus]
     by_weight = {}
     for a in range(l.d1):
-        by_weight.setdefault(tuple(rho[h][a][a] for h in torus), []).append(a)
+        by_weight.setdefault(tuple(lam_h.get(a, 0) for lam_h in lam), []).append(a)
     bases = []
     # the increasing p-tuples with their weights, each extended by a larger index
     level = [((), (0,) * len(torus))]
@@ -362,25 +425,21 @@ def ce_cohomology(l):
     d leaves the weight-0 subcomplex or a Betti number comes out negative.
     """
     check_cap(ce_cochain_dimensions(l))
-    d1 = l.d1
     bases = _weight0_bases(l)
     ranks = []
     for p in range(l.r):
         column = {key: t for t, key in enumerate(bases[p + 1])}
         rows = []
         for idx, a in bases[p]:
-            unit = [0] * d1
-            unit[a] = 1
             row = {}
-            for jdx, vec in ce_differential(l, p, {idx: unit}).items():
-                for b, v in enumerate(vec):
-                    if v:
-                        t = column.get((jdx, b))
-                        if t is None:
-                            raise ValueError(
-                                "d o d != 0: d of e^%r (x) v%d leaves the weight-0 subcomplex"
-                                % (tuple(i + 1 for i in idx), a + 1))
-                        row[t] = v
+            for jdx, vec in ce_differential(l, p, {idx: {a: 1}}).items():
+                for b, v in vec.items():
+                    t = column.get((jdx, b))
+                    if t is None:
+                        raise ValueError(
+                            "d o d != 0: d of e^%r (x) v%d leaves the weight-0 subcomplex"
+                            % (tuple(i + 1 for i in idx), a + 1))
+                    row[t] = v
             rows.append(row)
         ranks.append(rank(rows))
     return _betti([len(basis) for basis in bases], ranks)
@@ -403,14 +462,18 @@ def der_differential(n, m, maxdeg):
     nmono = len(monos)
     at = {mu: s for s, mu in enumerate(monos)}
     r, d1 = n + m * m, m * nmono
-    c = [[[0] * r for _ in range(r)] for _ in range(r)]
+    c = [[{} for _ in range(r)] for _ in range(r)]
     for a, b, e, f in itertools.product(range(m), repeat=4):
-        block = c[n + a * m + b][n + e * m + f]
+        row = c[n + a * m + b][n + e * m + f]
         if b == e:
-            block[n + a * m + f] += 1
+            row[n + a * m + f] = 1
         if f == a:
-            block[n + e * m + b] -= 1
-    rho = [[[0] * d1 for _ in range(d1)] for _ in range(r)]
+            k = n + e * m + b
+            if row.get(k, 0) == 1:
+                del row[k]  # [E^{aa}, E^{aa}] = E^{aa} - E^{aa}
+            else:
+                row[k] = -1
+    rho = [[{} for _ in range(d1)] for _ in range(r)]
     for i in range(n):
         for s, mu in enumerate(monos):
             if mu[i]:
@@ -420,7 +483,7 @@ def der_differential(n, m, maxdeg):
     for a, b in itertools.product(range(m), repeat=2):
         for s in range(nmono):
             rho[n + a * m + b][a * nmono + s][b * nmono + s] = 1
-    return CEData(r, c, d1, rho)
+    return CEData.sparse(r, c, d1, rho)
 
 
 def der_cochain_dimensions(n, m, maxdeg):

@@ -27,7 +27,11 @@ Text grammar (shared with the CLI):
     coeff  := INT | INT'/'INT
 
 Whitespace is insignificant.  Printing is canonical (descending
-graded-lex), and parse(print(p)) == p.
+graded-lex), and parse(print(p)) == p.  Both work on the content form:
+the parser reads each coefficient as an integer numerator and denominator
+and `sum_terms` puts them over the lcm of the denominators, and the
+printer reduces each numerator against `den` by one gcd; neither builds a
+Fraction.
 
 `_Linear` is the one base of every value class of the package that adds,
 negates, scales and compares part by part (vectors, matrices, operators,
@@ -345,7 +349,7 @@ class Poly:
     # -- printing ----------------------------------------------------
 
     def __str__(self):
-        return format_terms(self.terms, var_names("x", self.n))
+        return format_terms(self.num, self.den, var_names("x", self.n))
 
     def __repr__(self):
         return "Poly(%d, %s)" % (self.n, str(self))
@@ -370,24 +374,30 @@ def coefficient_text(c):
         return "-" * (c < 0) + coefficient_text(hi) + coefficient_text(lo).zfill(k)
 
 
-def format_terms(terms, names):
-    """Canonical text of {exponent tuple: nonzero int or Fraction} in the
-    named variables: descending total degree, first variable major."""
-    if not terms:
+def format_terms(num, den, names):
+    """Canonical text of the polynomial {exponent tuple: nonzero int} / den
+    in the named variables: descending total degree, first variable major;
+    each coefficient is reduced by its own gcd with den."""
+    if not num:
         return "0"
     parts = []
-    for sigma in sorted(terms, key=_print_key):
-        c = terms[sigma]
+    for sigma in sorted(num, key=_print_key):
+        c = num[sigma]
         factors = []
         for x, e in zip(names, sigma):
             if e:
                 factors.append(x if e == 1 else "%s^%d" % (x, e))
         body = "*".join(factors)
         mag = abs(c)
-        if not body:
-            body = coefficient_text(mag)
-        elif mag != 1:
-            body = coefficient_text(mag) + "*" + body
+        if not body or mag != den:
+            if den == 1:
+                text = coefficient_text(mag)
+            else:
+                g = gcd(mag, den)
+                text = coefficient_text(mag // g)
+                if g != den:
+                    text += "/" + coefficient_text(den // g)
+            body = text + "*" + body if body else text
         if not parts:
             parts.append(body if c > 0 else "-" + body)
         else:
@@ -421,7 +431,8 @@ class _Parser:
         self.tokens = tokenize(text)
         self.i = 0
         self.n = n
-        self.letters = letters
+        # the exponents of letters[t] fill positions t*n .. t*n + n - 1
+        self.offsets = {letter: t * n for t, letter in enumerate(letters)}
 
     def peek(self):
         return self.tokens[self.i]
@@ -438,7 +449,8 @@ class _Parser:
         return int(val)
 
     def parse(self):
-        """Return a list of (int or Fraction, {letter: exponent tuple}) terms."""
+        """Return a list of (numerator, denominator >= 1, exponent tuple)
+        terms, the exponents of the letters one after the other."""
         terms = []
         while True:
             kind, val, pos = self.peek()
@@ -451,12 +463,12 @@ class _Parser:
                 return terms
 
     def term(self, sign):
-        coeff = sign
-        expos = {letter: [0] * self.n for letter in self.letters}
+        num, den = sign, 1
+        expo = [0] * (self.n * len(self.offsets))
         kind, val, pos = self.peek()
         if kind == "int":
             self.next()
-            num = int(val)
+            num *= int(val)
             kind2, val2, _ = self.peek()
             if kind2 == "op" and val2 == "/":
                 self.next()
@@ -464,24 +476,22 @@ class _Parser:
                 den = self.expect_int("denominator")
                 if den == 0:
                     raise ParseError("zero denominator", dpos)
-                coeff *= Fraction(num, den)
-            else:
-                coeff *= num
         elif kind == "var":
-            self.factor(expos)
+            self.factor(expo)
         else:
             raise ParseError("expected a term", pos)
         while self.peek()[:2] == ("op", "*"):
             self.next()
-            self.factor(expos)
-        return coeff, {letter: tuple(v) for letter, v in expos.items()}
+            self.factor(expo)
+        return num, den, tuple(expo)
 
-    def factor(self, expos):
+    def factor(self, expo):
         kind, val, pos = self.next()
         if kind != "var":
             raise ParseError("expected a variable", pos)
         letter, idx = val[0], int(val[1:])
-        if letter not in self.letters:
+        offset = self.offsets.get(letter)
+        if offset is None:
             raise ParseError("unknown variable letter %r" % letter, pos)
         if idx < 1:
             raise ParseError("variable index must be >= 1", pos)
@@ -495,16 +505,27 @@ class _Parser:
             exp = self.expect_int("exponent")
             if exp < 0:
                 raise ParseError("negative exponent", epos)
-        expos[letter][idx - 1] += exp
+        expo[offset + idx - 1] += exp
 
 
 def parse_terms(text, n, letters=("x",)):
     return _Parser(text, n, letters).parse()
 
 
+def sum_terms(n, terms):
+    """The Poly sum of num/den * x^sigma over parsed terms (num, den, sigma)
+    in n variables: numerators over the lcm of the denominators."""
+    d = lcm(*(den for _, den, _ in terms))
+    acc = {}
+    for num, den, sigma in terms:
+        if num:
+            acc[sigma] = acc.get(sigma, 0) + num * (d // den)
+    return _normal(n, {s: v for s, v in acc.items() if v}, d)
+
+
 def parse_poly(text, n):
     """Parse the shared polynomial grammar into a Poly."""
-    return Poly(n, [(expos["x"], coeff) for coeff, expos in parse_terms(text, n, ("x",))])
+    return sum_terms(n, parse_terms(text, n, ("x",)))
 
 
 # ---------------------------------------------------------------------------

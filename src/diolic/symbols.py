@@ -20,7 +20,8 @@ the other (`_sum_degree`).
 
 from __future__ import annotations
 
-from .poly import ParseError, Poly, _Linear, _normal, dot, format_terms, parse_terms, var_names
+from .poly import (ParseError, Poly, _Linear, _normal, dot, format_terms, parse_terms, sum_terms,
+                   var_names)
 from .ops import RouteError, ScalarOp, delta_nest, graded_operands, lift
 from .derivations import Der0
 from .diffops import DiffOp0, DiffOp1, DiffOpNeg1
@@ -104,7 +105,8 @@ class SymbolPoly(_Linear):
         return SymbolPoly(self.n, max(self.k - 1, 0), self.p.partial(self.n + i))
 
     def __str__(self):
-        return format_terms(self.p.terms, var_names("x", self.n) + var_names("k", self.n))
+        return format_terms(self.p.num, self.p.den,
+                            var_names("x", self.n) + var_names("k", self.n))
 
     __repr__ = __str__
 
@@ -112,11 +114,11 @@ class SymbolPoly(_Linear):
 def parse_symbol(text, n):
     """Parse the poly grammar extended with momentum variables k1..kn."""
     terms = parse_terms(text, n, ("x", "k"))
-    p = Poly(2 * n, [(expos["x"] + expos["k"], c) for c, expos in terms])
+    p = sum_terms(2 * n, terms)
     degs = {sum(s[n:]) for s in p.num}
     if len(degs) > 1:
         raise ParseError("symbol is not homogeneous in the momentum variables", 0)
-    if not degs and any(sum(expos["k"]) for _, expos in terms):
+    if not degs and any(sum(sigma[n:]) for _, _, sigma in terms):
         raise ParseError("the momentum terms cancel; write 0 for the zero symbol", 0)
     return SymbolPoly(n, degs.pop() if degs else 0, p)
 

@@ -123,6 +123,49 @@ def rand_cochain(r, l, p):
     return tau
 
 
+def dense_ce_differential(l, p, tau):
+    """ce_differential on dense cochains {p-tuple: list of d1 coefficients},
+    with the image in the same form; tuples where it is zero are left out."""
+    sparse = {idx: {a: v for a, v in enumerate(vec) if v} for idx, vec in tau.items()}
+    out = {}
+    for idx, vec in ce_differential(l, p, sparse).items():
+        dense = out[idx] = [0] * l.d1
+        for a, v in vec.items():
+            dense[a] = v
+    return out
+
+
+def so3_poly_rep(deg):
+    """(c, rho) of real so(3) acting on the homogeneous polynomials of
+    degree deg in x, y, z, in the monomial basis, by L_x = y d/dz - z d/dy,
+    L_y = z d/dx - x d/dz and L_z = x d/dy - y d/dx, with [L_x, L_y] = -L_z
+    and its cyclic shifts.
+
+    No generator is diagonal, d1 = (deg + 1)(deg + 2)/2, and each rho
+    column has at most 2 nonzeros.  By Hochschild-Serre H(so3, V) =
+    H(so3, Q) (x) V^so3, and the invariants are spanned by
+    (x^2 + y^2 + z^2)^(deg/2) for even deg: the Betti numbers are
+    [1, 0, 0, 1] for even deg and [0, 0, 0, 0] for odd deg."""
+    monos = [(a, b, deg - a - b) for a in range(deg, -1, -1) for b in range(deg - a, -1, -1)]
+    at = {mu: s for s, mu in enumerate(monos)}
+    d1 = len(monos)
+    rho = [[[0] * d1 for _ in range(d1)] for _ in range(3)]
+    # generator g is u d/dv - v d/du
+    for g, (u, v) in enumerate(((1, 2), (2, 0), (0, 1))):
+        for s, mu in enumerate(monos):
+            for src, dst, sign in ((v, u, 1), (u, v, -1)):
+                if mu[src]:
+                    nu = list(mu)
+                    nu[src] -= 1
+                    nu[dst] += 1
+                    rho[g][at[tuple(nu)]][s] += sign * mu[src]
+    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        c[i][j][k] = -1
+        c[j][i][k] = 1
+    return c, rho
+
+
 def der_vector(v, maxdeg):
     """The coefficient vector of a PolyVec in the basis of der_differential."""
     monos = monomials_up_to(v.n, maxdeg)
@@ -608,11 +651,9 @@ def oracle_ce_cohomology(l):
         rows = []
         for idx in itertools.combinations(range(r), p):
             for a in range(d1):
-                unit = [0] * d1
-                unit[a] = 1
-                d = ce_differential(l, p, {idx: unit})
+                d = ce_differential(l, p, {idx: {a: 1}})
                 rows.append({start[jdx] + b: v for jdx, vec in d.items()
-                             for b, v in enumerate(vec) if v})
+                             for b, v in vec.items()})
         ranks.append(oracle_rank(rows))
     return _betti(dims, ranks)
 

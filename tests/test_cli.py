@@ -19,6 +19,8 @@ from diolic.cli import DEFAULT_CAPS, build_parser, canonical_problem_json, main
 from diolic.complexes import ce_differential, der_cochain_dimensions
 from diolic.poly import _rational
 
+from helpers import so3_poly_rep
+
 PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
 
@@ -561,10 +563,74 @@ def test_integral_ce_files_stay_in_ints(as_strings):
         for p in range(l.r):
             for idx in itertools.combinations(range(l.r), p):
                 for a in range(l.d1):
-                    unit = [0] * l.d1
-                    unit[a] = 1
-                    image = ce_differential(l, p, {idx: unit})
-                    assert all(type(v) is int for vec in image.values() for v in vec)
+                    image = ce_differential(l, p, {idx: {a: 1}})
+                    assert all(type(v) is int for vec in image.values() for v in vec.values())
+
+
+# (path into the ce_sl2_adjoint.json document, value put there, message);
+# a wrong length, a non-list, a bool, a float and a bad string at each depth
+# of c and rho, the first bad entry of a row, and c read before rho
+CE_ENTRY_ERRORS = [
+    (("c",), "abc", "c must be an array of length 3"),
+    (("c",), [[[0] * 3] * 3] * 2, "c must be an array of length 3"),
+    (("c", 1), 7, "c[2] must be an array of length 3"),
+    (("c", 1), [[0] * 3] * 4, "c[2] must be an array of length 3"),
+    (("c", 1, 1), "x", "c[2][2] must be an array of length 3"),
+    (("c", 1, 1), [0, 0], "c[2][2] must be an array of length 3"),
+    (("c", 1, 1, 1), True, "c[2][2][2] must be a rational"),
+    (("c", 1, 1, 1), 1.0, "c[2][2][2] must be an integer or a rational string"),
+    (("c", 1, 1, 1), "x", "c[2][2][2] is not a rational: 'x'"),
+    (("c", 1, 1, 1), "1/0", "c[2][2][2] is not a rational: '1/0'"),
+    (("c", 1, 1, 1), None, "c[2][2][2] must be an integer or a rational string"),
+    (("rho",), {}, "rho must be an array of length 3"),
+    (("rho",), [[[0] * 3] * 3] * 4, "rho must be an array of length 3"),
+    (("rho", 2), None, "rho[3] must be an array of length 3"),
+    (("rho", 2), [[0] * 3] * 2, "rho[3] must be an array of length 3"),
+    (("rho", 2, 0), 0, "rho[3][1] must be an array of length 3"),
+    (("rho", 2, 0), [0, 0, 0, 0], "rho[3][1] must be an array of length 3"),
+    (("rho", 1, 2, 0), "x", "rho[2][3][1] is not a rational: 'x'"),
+    (("rho", 1, 2, 0), False, "rho[2][3][1] must be a rational"),
+    (("rho", 1, 2, 0), 0.5, "rho[2][3][1] must be an integer or a rational string"),
+    (("rho", 1, 2, 0), [1], "rho[2][3][1] must be an integer or a rational string"),
+    (("rho", 0, 0), ["1", "y", "x"], "rho[1][1][2] is not a rational: 'y'"),
+    (("rho", 0, 0), [0, True, "x"], "rho[1][1][2] must be a rational"),
+    (("rho", 0, 0), ["1/2", "0", "2/0"], "rho[1][1][3] is not a rational: '2/0'"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", CE_ENTRY_ERRORS)
+@pytest.mark.parametrize("command", [["check"], ["cohomology", "--ce"]])
+def test_malformed_ce_entries_exit_2(tmp_path, capsys, command, path, value, message):
+    doc = shipped("ce_sl2_adjoint.json")
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    if path[0] == "rho":
+        doc["c"][2][2][2] = "0"  # a string entry in a valid c
+    else:
+        doc["rho"][1][1][1] = "x"  # c is read first
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(doc))
+    assert main(command + [str(file)]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("as_strings", [False, True], ids=["ints", "strings"])
+def test_cohomology_ce_so3_degree_30_is_fast(tmp_path, capsys, as_strings):
+    """Real so(3) on the degree-30 polynomials: d1 = 496, no diagonal
+    generator, at most 2 nonzeros per rho column in 738,048 entries."""
+    c, rho = so3_poly_rep(30)
+    if as_strings:
+        c, rho = json.loads(json.dumps([c, rho]), parse_int=str)
+    file = tmp_path / "so3_30.json"
+    file.write_text(json.dumps({"kind": "ce", "dim": 3, "rep_dim": len(rho[0]),
+                                "c": c, "rho": rho}))
+    started = time.monotonic()
+    assert main(["cohomology", "--ce", str(file)]) == 0
+    assert time.monotonic() - started <= 1.0
+    assert json.loads(capsys.readouterr().out)["betti"] == [1, 0, 0, 1]
 
 
 def test_pretty_flag_stays_deterministic():

@@ -10,15 +10,17 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings, strategies as st
 
+from diolic import complexes
 from diolic.poly import Poly, PolyVec, monomials_up_to
 from diolic.complexes import (CEData, ResourceCapError, _lie_products, _weight0_bases,
                               ce_cochain_dimensions, ce_cohomology,
-                              ce_differential, der_cochain_dimensions,
+                              der_cochain_dimensions,
                               der_cohomology_truncated, der_differential,
                               diolic_lie_check, diolic_lie_residuals, rank)
 
-from helpers import (der_vector, oracle_ce_cohomology, oracle_diolic_lie_residuals,
-                     oracle_rank, rand_cochain, rand_fraction, rng)
+from helpers import (dense_ce_differential, der_vector, oracle_ce_cohomology,
+                     oracle_diolic_lie_residuals, oracle_rank, rand_cochain, rand_fraction, rng,
+                     so3_poly_rep)
 
 
 SL2_C = [[[0, 0, 0], [0, 2, 0], [0, 0, -2]],
@@ -113,7 +115,7 @@ def test_rank_matches_oracle_and_sympy(seed, kind, shape):
 def test_der_degree_zero_differential():
     # n = m = 1: d(x1*e1) is (e1, x1*e1) on (nabla, E)
     x1 = PolyVec(1, [Poly.var(1, 1)])
-    dw = ce_differential(der_differential(1, 1, 1), 0, {(): der_vector(x1, 1)})
+    dw = dense_ce_differential(der_differential(1, 1, 1), 0, {(): der_vector(x1, 1)})
     assert dw == {(0,): der_vector(PolyVec(1, [Poly.one(1)]), 1),
                   (1,): der_vector(x1, 1)}
 
@@ -123,7 +125,7 @@ def test_der_degree_one_formula():
     f = Poly(1, {(2,): 1})
     g = Poly(1, {(3,): 1})
     w = {(0,): der_vector(PolyVec(1, [f]), 3), (1,): der_vector(PolyVec(1, [g]), 3)}
-    dw = ce_differential(der_differential(1, 1, 3), 1, w)
+    dw = dense_ce_differential(der_differential(1, 1, 3), 1, w)
     assert dw[(0, 1)] == der_vector(PolyVec(1, [g.partial(1) - f]), 3)
 
 
@@ -134,7 +136,7 @@ def test_der_dd_zero_random():
         k = r.randint(0, 2)
         l = der_differential(n, m, 2)
         w = rand_cochain(r, l, k)
-        assert ce_differential(l, k + 1, ce_differential(l, k, w)) == {}
+        assert dense_ce_differential(l, k + 1, dense_ce_differential(l, k, w)) == {}
 
 
 def test_der_differential_preserves_coefficient_degree():
@@ -251,7 +253,7 @@ def test_lie_product_count_is_the_dense_formula():
 def test_ce_differential_abelian_trivial_is_zero():
     l = abelian2_trivial()
     tau = {(0,): [Fraction(1)], (1,): [Fraction(2)]}
-    assert ce_differential(l, 1, tau) == {}
+    assert dense_ce_differential(l, 1, tau) == {}
 
 
 def test_ce_r1_identity_rep():
@@ -268,8 +270,8 @@ def test_ce_dd_zero_random():
             tau = {}
             for idx in itertools.combinations(range(l.r), p):
                 tau[idx] = [Fraction(r.randint(-3, 3)) for _ in range(l.d1)]
-            once = ce_differential(l, p, tau)
-            twice = ce_differential(l, p + 1, once)
+            once = dense_ce_differential(l, p, tau)
+            twice = dense_ce_differential(l, p + 1, once)
             assert twice == {}
 
 
@@ -444,6 +446,52 @@ def test_torus_free_betti_match_oracle(rho, betti):
     l = ce_data(so3_real(), rho)
     assert [len(basis) for basis in _weight0_bases(l)] == ce_cochain_dimensions(l)
     assert ce_cohomology(l) == oracle_ce_cohomology(l) == betti
+
+
+@pytest.mark.parametrize("deg", range(9))
+def test_so3_polynomial_rep_betti_match_oracle(deg):
+    """Real so(3) on the degree-deg polynomials in x, y, z: torus-free,
+    sparse, d1 >> r; the invariants (x^2 + y^2 + z^2)^(deg/2) exist in even
+    degree only."""
+    l = ce_data(*so3_poly_rep(deg))
+    assert diolic_lie_check(l)
+    assert [len(basis) for basis in _weight0_bases(l)] == ce_cochain_dimensions(l)
+    betti = [1, 0, 0, 1] if deg % 2 == 0 else [0, 0, 0, 0]
+    assert ce_cohomology(l) == oracle_ce_cohomology(l) == betti
+
+
+def sparse_rows(tensor):
+    return [[{k: v for k, v in enumerate(row) if v} for row in block] for block in tensor]
+
+
+def test_sparse_and_dense_constructors_agree():
+    cases = [(c, rho) for c, rho, _ in LIE_FAMILIES] + [
+        so3_poly_rep(3), halved(SL2_C, SL2_AD), (so3_real(), families.adjoint(so3_real()))]
+    for c, rho in cases:
+        dense = ce_data(c, rho)
+        sparse = CEData.sparse(len(c), sparse_rows(c), len(rho[0]), sparse_rows(rho))
+        assert dense.c == sparse.c == tuple(tuple(map(tuple, block)) for block in c)
+        assert dense.rho == sparse.rho == tuple(tuple(map(tuple, mat)) for mat in rho)
+        assert (dense._cols, dense._brackets) == (sparse._cols, sparse._brackets)
+    with pytest.raises(ValueError, match="antisymmetric"):
+        CEData.sparse(2, [[{}, {0: 1}], [{}, {}]], 1, [[{}], [{}]])
+    with pytest.raises(ValueError, match="r matrices"):
+        CEData.sparse(1, [[{}]], 2, [[{}]])
+
+
+def test_ce_cohomology_calls_ce_differential_by_module_name(monkeypatch):
+    """The benchmark's per-layer rows for the CE layer wrap the module
+    global complexes.ce_differential; ce_cohomology must reach it there."""
+    calls = []
+    original = complexes.ce_differential
+
+    def counted(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(complexes, "ce_differential", counted)
+    assert ce_cohomology(sl2_adjoint()) == [0, 0, 0, 0]
+    assert calls and set(calls) <= {0, 1, 2}
 
 
 @pytest.mark.parametrize("size", [(1, 1, 3), (2, 1, 2), (1, 2, 1), (2, 2, 1), (1, 3, 0)])
