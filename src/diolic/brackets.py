@@ -26,11 +26,14 @@ first-order Jacobi bracket is a degree-0 biderivation B plus a
 derivation E, Pi(z1, z2) = B(z1, z2) + z1 E(z2) - E(z1) z2, and
 `_jacobiators` is the one Jacobiator on generator triples: the Poisson,
 Jacobi and algebroid residuals are its values, and `schouten_probe_suite`
-contracts 2 Jac_Pi from them.  No graded sign enters at any degree
-(1, 0, -1, -2 for the biderivations): A is even, so the Leibniz rule
-only splits products f e_alpha with f in A, and moving a coefficient
-past a value changes the sign only when both are odd, that is in P,
-where their product lies in P*P = 0 and is dropped.
+contracts 2 Jac_Pi from them on increasing argument triples only, as
+[[Pi, Pi]] is alternating while at most one argument lies in P.  When
+E = 0, z1 E(z2) - E(z1) z2 vanishes and a Jacobi bracket is evaluated as
+B.  No graded sign enters at any degree (1, 0, -1, -2 for the
+biderivations): A is even, so the Leibniz rule only splits products
+f e_alpha with f in A, and moving a coefficient past a value changes the
+sign only when both are odd, that is in P, where their product lies in
+P*P = 0 and is dropped.
 
 Every checker decides its identity on a finite argument set that makes
 the verdict exact, using two more facts:
@@ -318,10 +321,12 @@ class BiDerNeg2(_BiDer):
 # the Jacobiator and the Schouten square
 
 
+@functools.cache
 def _generators(n, m, one=False):
-    """The generators x_1..x_n, e_1..e_m; with one, 1 in front of them."""
+    """The generators x_1..x_n, e_1..e_m; with one, 1 in front of them.
+    Built once per key: callers share the tuple and its values."""
     units = [Poly.monomial(n, s) for s in monomials_up_to(n, 1)]
-    return units[not one:] + [PolyVec.basis(n, m, j) for j in range(m)]
+    return tuple(units[not one:] + [PolyVec.basis(n, m, j) for j in range(m)])
 
 
 def _jacobiators(bracket, elems, triples):
@@ -389,9 +394,19 @@ def schouten_probe_suite(pi, degree=2):
     [[Pi, Pi]] is a multiderivation, so its values are contracted from
     its table on generator triples, built once per call: 2 J on the
     triples of `_poisson_jacobiators`, at their rotations and, skew in two
-    slots that hold at most one P argument, at their swaps.  The table is
-    contracted by z1, then by z2 once per argument pair, then by each
-    third argument.  A zero table gives no values at all.
+    slots that hold at most one P argument, at their swaps.  A zero table
+    gives no values at all.
+
+    With at most one argument in P it is alternating (Lichnerowicz, 1977):
+    only (a, b, c) with a < b < c and (p, a, b) with a < b, in monomial
+    order, are contracted, by z1, then by z2 once per pair, then by each
+    third argument, and each value v is copied with the permutation's sign
+
+        v at (a, b, c):  +v at (b, c, a), (c, a, b);  -v at (b, a, c), (a, c, b), (c, b, a)
+        v at (p, a, b):  +v at (b, p, a), (a, b, p);  -v at (p, b, a), (a, p, b), (b, a, p)
+
+    A repeated A argument gives 0.  One sort restores the order of the
+    walk over all ordered triples, A-triples first, then P in slot 1, 2, 3.
     """
     n, m = pi.n, pi.m
     table = {}
@@ -406,23 +421,29 @@ def schouten_probe_suite(pi, degree=2):
     p_elems = [("%s*e%d" % (a, j + 1), _leibniz_terms(a * PolyVec.basis(n, m, j), n))
                for a in monos for j in range(m)]
     bad = []
-    patterns = [(a_elems, a_elems, a_elems), (p_elems, a_elems, a_elems),
-                (a_elems, p_elems, a_elems), (a_elems, a_elems, p_elems)]
-    for s1, s2, s3 in patterns:
-        for l1, t1 in s1:
+    for s1 in (a_elems, p_elems):
+        for i1, (_, t1) in enumerate(s1):
             by1 = _contract(t1, table)
             if not by1:
                 continue
-            for l2, t2 in s2:
-                by2 = _contract(t2, by1)
+            for i2 in range(i1 + 1 if s1 is a_elems else 0, len(a_elems)):
+                by2 = _contract(a_elems[i2][1], by1)
                 if not by2:
                     continue
-                for l3, t3 in s3:
-                    val = _contract(t3, by2)
-                    if val:
-                        bad.append(("[[Pi,Pi]](%s, %s, %s)" % (l1, l2, l3),
-                                    _as_diolic(val[()], m)))
-    return bad
+                for i3 in range(i2 + 1, len(a_elems)):
+                    val = _contract(a_elems[i3][1], by2)
+                    if not val:
+                        continue
+                    signed = (_as_diolic(val[()], m), _as_diolic(-val[()], m))
+                    args = ((i1, s1[i1][0]), (i2, a_elems[i2][0]), (i3, a_elems[i3][0]))
+                    for (q1, q2, q3), odd in (((0, 1, 2), 0), ((1, 2, 0), 0), ((2, 0, 1), 0),
+                                              ((1, 0, 2), 1), ((0, 2, 1), 1), ((2, 1, 0), 1)):
+                        (j1, l1), (j2, l2), (j3, l3) = args[q1], args[q2], args[q3]
+                        pattern = 0 if s1 is a_elems else 1 + (q1, q2, q3).index(0)
+                        bad.append(((pattern, j1, j2, j3), "[[Pi,Pi]](%s, %s, %s)" % (l1, l2, l3),
+                                    signed[odd]))
+    bad.sort(key=lambda entry: entry[0])
+    return [(label, value) for _, label, value in bad]
 
 
 # ---------------------------------------------------------------------------
@@ -608,11 +629,13 @@ def is_jacobi0(b):
 
 
 def _first_order_jacobiators(b, m):
-    """The residuals of `is_jacobi0` with e_1..e_m, and its pde list."""
+    """The residuals of `is_jacobi0` with e_1..e_m, and its pde list; when
+    E = 0 (`jacobi_from_poisson`), the bracket is evaluated as B alone."""
     n = b.n
     gens = _generators(n, m, one=True)
     labels = [str(a) for a in gens[:n + 1]] + ["e%d" % (j + 1) for j in range(m)]
-    jac = _jacobiators(b.eval, gens, list(itertools.combinations(range(n + 1), 3)) + [
+    bracket = b.b.eval if b.e.is_zero() else b.eval
+    jac = _jacobiators(bracket, gens, list(itertools.combinations(range(n + 1), 3)) + [
         (i, k, n + 1 + j) for i, k in itertools.combinations(range(n + 1), 2) for j in range(m)])
     return ([("jacobiator(%s; %s; %s)" % tuple(labels[i] for i in t), v) for t, v in jac.items()],
             [("jacobi_pde[%d,%d](e%d)" % (i, k, l - n), v)
@@ -647,7 +670,8 @@ def is_jacobi_neg1(j):
 
 def jacobi_from_poisson(pi):
     """Lift a degree-0 Poisson biderivation to the Jacobi-type bracket
-    with Pi(1, -) = 0: the pair (pi, 0), valid with no check."""
+    with Pi(1, -) = 0: the pair (pi, 0), valid with no check.  Its E is
+    zero, so `is_jacobi0` evaluates it through pi's own table."""
     return JacobiOp0.__new__(JacobiOp0)._pair(pi, Der0.zero(pi.n, pi.m))
 
 

@@ -14,6 +14,7 @@ from diolic.brackets import (BiDer0, BiDer1, BiDerNeg1, BiDerNeg2,
                              is_lie_algebroid, is_poisson0,
                              jacobi_from_poisson, jacobiator0,
                              schouten_probe_suite, schouten_self_eval)
+from diolic import brackets
 from diolic.brackets import _contract, _leibniz_terms
 
 from helpers import (oracle_bider_eval, rng, rand_bider0, rand_jacobi0_tables, rand_poly,
@@ -263,6 +264,39 @@ def test_schouten_probe_suite_golden(name, count, first, last, digest):
     lines = ["%s = %s" % (label, value)
              for label, value in schouten_probe_suite(_problem(name), degree=2)]
     assert len(lines) == count
+    assert lines[0] == first and lines[-1] == last
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+def test_schouten_probe_suite_contracts_increasing_triples_only(monkeypatch):
+    # every Leibniz contraction of one call, through the module global; a
+    # walk over all ordered monomial triples would make 3,076 of them
+    calls = []
+    contract = brackets._contract
+    monkeypatch.setattr(brackets, "_contract",
+                        lambda terms, table: calls.append(1) or contract(terms, table))
+    suite = schouten_probe_suite(_problem("poisson_broken_bivector.json"), degree=2)
+    assert len(suite) == 1224
+    assert len(calls) == 519
+
+
+@pytest.mark.parametrize("name, count, first, last, digest", [
+    ("poisson_broken_bivector.json", 1,
+     "jacobiator(x1; x2; x3) = 2*x1*x2", "jacobiator(x1; x2; x3) = 2*x1*x2",
+     "564866fe429cbf9085bd913dfaa2a5d8c7fb3f63aa575de4726fdc44c39a42a7"),
+    ("poisson_broken_end.json", 2,
+     "jacobiator(x1; x3; e1) = (-x1, 0)", "jacobi_pde[1,3](e1) = (-x1, 0)",
+     "668504800b317d4baed37a8928bac8fbea590635c633742399a72f02372b8328"),
+    ("poisson_noncommuting_end.json", 4,
+     "jacobiator(x1; x2; e1) = (-1, 0)", "jacobi_pde[1,2](e2) = (0, 1)",
+     "9531093452e130d17656d9e7535afef72734d59ca50f9ffedcc108b436a319ff"),
+])
+def test_poisson_lift_jacobi_residuals_golden(name, count, first, last, digest):
+    # names, order and printed values of the full residual list of the
+    # lift (pi, 0), which is evaluated as pi alone since its E is 0
+    ok, residuals = is_jacobi0(jacobi_from_poisson(_problem(name)))
+    lines = ["%s = %s" % (label, value) for label, value in residuals]
+    assert not ok and len(lines) == count
     assert lines[0] == first and lines[-1] == last
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 

@@ -9,6 +9,7 @@ check, and the cost of each bracket kind at the default caps n = 4, m = 3.
 import itertools
 import json
 import os
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -101,6 +102,26 @@ def test_suite_structure_matches_oracles(index):
     assert (schouten_probe_suite(pi, degree=2) == []) == is_poisson0(pi)[0]
     assert_agrees(is_jacobi0(jacobi_from_poisson(pi)),
                   oracle_is_jacobi0(raw_lift(pi), probe_degree=2 if pi.n > 2 else 3))
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in (1, 2, 3) for m in (1, 2)])
+def test_probe_suite_matches_oracle_on_seeded_draws(n, m):
+    """The suite contracts increasing triples only and copies each value
+    with the sign of the permutation; the oracle walks every ordered
+    triple.  The lists agree exactly (labels, order, values) for
+    integral (6 Pi) and fractional (6/7 Pi) coefficients, with Pi of
+    degree 1-3.  At n = 1 every draw is Poisson and both lists are
+    empty; n = 3 probes degree 1 to keep the oracle's walk short."""
+    r, degree = rng(10 * n + m), 2 if n < 3 else 1
+    for deg in (1, 2, 3):
+        pi = rand_bider0(r, n, m, deg=deg)
+        while n > 1 and is_poisson0(pi)[0]:
+            pi = rand_bider0(r, n, m, deg=deg)
+        for c in (6, Fraction(6, 7)):
+            scaled = BiDer0([[c * p for p in row] for row in pi.aa], [c * g for g in pi.end])
+            suite = schouten_probe_suite(scaled, degree=degree)
+            assert suite == oracle_schouten_probe_suite(scaled, degree=degree)
+            assert (suite == []) == (n == 1)
 
 
 @pytest.mark.parametrize("pi", _shipped("poisson0") + [
