@@ -400,7 +400,7 @@ def schouten_probe_suite(pi, degree=2):
     With at most one argument in P it is alternating (Lichnerowicz, 1977):
     only (a, b, c) with a < b < c and (p, a, b) with a < b, in monomial
     order, are contracted, by z1, then by z2 once per pair, then by each
-    third argument, and each value v is copied with the permutation's sign
+    third argument, and each value v is copied with the permutation's sign:
 
         v at (a, b, c):  +v at (b, c, a), (c, a, b);  -v at (b, a, c), (a, c, b), (c, b, a)
         v at (p, a, b):  +v at (b, p, a), (a, b, p);  -v at (p, b, a), (a, p, b), (b, a, p)
